@@ -13,7 +13,7 @@ carries diagnostics. Exit codes: 0 success / all checks pass,
 malformed expression), 3 domain or guard error.
 
 Defaults come from SHEFFER_* environment variables when set: ORDER,
-LAMBDA_ORDER, A_ORDER, CUTOFF, TOL, FORMAT, JOBS, DRAWS, SEED.
+LAMBDA_ORDER, A_ORDER, CUTOFF, TOL, FORMAT, DRAWS, SEED.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import suites
@@ -44,7 +43,6 @@ from .series import (
     cos_series,
     exp_series,
     log_series,
-    rational_to_str,
     sin_series,
     sqrt_series,
     tan_series,
@@ -316,12 +314,11 @@ class RunConfig:
     cutoff: int = 64
     tol: float = 1e-8
     fmt: str = "json"
-    jobs: int = min(4, os.cpu_count() or 1)
     draws: int = 10
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("order", "lam_order", "a_order", "cutoff", "jobs", "draws"):
+        for name in ("order", "lam_order", "a_order", "cutoff", "draws"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0 < self.tol < 1:
@@ -337,7 +334,6 @@ _ENV_MAP = {
     "cutoff": ("SHEFFER_CUTOFF", int),
     "tol": ("SHEFFER_TOL", float),
     "fmt": ("SHEFFER_FORMAT", str),
-    "jobs": ("SHEFFER_JOBS", int),
     "draws": ("SHEFFER_DRAWS", int),
     "seed": ("SHEFFER_SEED", int),
 }
@@ -350,7 +346,13 @@ def config_from(args) -> RunConfig:
         if flag is not None:
             values[name] = flag
         elif env_name in os.environ:
-            values[name] = cast(os.environ[env_name])
+            text = os.environ[env_name]
+            try:
+                values[name] = cast(text)
+            except ValueError:
+                raise ValueError(
+                    f"{env_name}={text!r} is not a valid {cast.__name__}"
+                ) from None
     return RunConfig(**values)
 
 
@@ -418,8 +420,8 @@ def _cmd_list(args) -> int:
         entries.append(
             {
                 "label": label,
-                "f_coeffs": [rational_to_str(c) for c in entry.pair.f.coeffs],
-                "g_coeffs": [rational_to_str(c) for c in entry.pair.g.coeffs],
+                "f_coeffs": [str(c) for c in entry.pair.f.coeffs],
+                "g_coeffs": [str(c) for c in entry.pair.g.coeffs],
                 "guard_radius": entry.guard_radius,
                 "z_guard": entry.z_guard,
                 "lam_guard": entry.lam_guard,
@@ -434,6 +436,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_gen(args) -> int:
     cfg = config_from(args)
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     pair = _resolve_pair(args, max(cfg.order, args.n))
     label = args.family or "custom"
     seq = sequence_via_egf(pair, args.n)
@@ -441,7 +445,7 @@ def _cmd_gen(args) -> int:
     for n in range(args.n + 1):
         row = {"family": label, "n": n, "poly": str(seq.poly(n))}
         if args.coeffs:
-            row["coeffs"] = [rational_to_str(c) for c in sheffer_coeffs(seq, n)]
+            row["coeffs"] = [str(c) for c in sheffer_coeffs(seq, n)]
         rows.append(row)
     _emit(rows, cfg.fmt, columns=["family", "n", "poly", "coeffs"])
     return 0
@@ -459,7 +463,7 @@ _SUITE_NAMES = (
 
 
 def _suite_tasks(name: str, labels, cfg: RunConfig):
-    """Row-producing callables for one suite; per-family tasks fan out."""
+    """Row-producing callables for one suite, one per family where it applies."""
     tasks = []
     if name == "monomiality":
         for label in labels:
@@ -505,11 +509,8 @@ def _cmd_verify(args) -> int:
     suite_names = [args.suite] if args.suite else list(_SUITE_NAMES)
     all_rows = []
     for name in suite_names:
-        tasks = _suite_tasks(name, labels, cfg)
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-        for chunk in chunks:
-            all_rows.extend({"suite": name, **row} for row in chunk)
+        for task in _suite_tasks(name, labels, cfg):
+            all_rows.extend({"suite": name, **row} for row in task())
     ok = suites.rows_pass(all_rows)
     summary = {
         "suites": suite_names,
@@ -581,7 +582,6 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--cutoff", type=int, default=None, help="Fock cutoff")
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--draws", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from operator import add
 
 import numpy as np
 
@@ -35,10 +36,11 @@ from .series import (
     GR_ZERO,
     GaussianRational,
     Polynomial,
+    _common_denominator,
+    _iconv,
     _kcompose,
     _kinverse,
     _krecip,
-    rational_to_str,
 )
 from .sequences import ShefferPair, build_M, sequence_via_egf, taylor_shift
 from .weyl import WeylElement, weyl_mul
@@ -263,21 +265,26 @@ class _Bivar:
                 out.grid[p][q] = out.grid[p][q] - other.grid[p][q]
         return out
 
+    def _int_rows(self):
+        # integer numerator rows over one common denominator
+        nums, den = _common_denominator([c for row in self.grid for c in row])
+        width = self.j + 1
+        return [nums[p * width : (p + 1) * width] for p in range(self.k + 1)], den
+
     def __mul__(self, other):
-        out = _Bivar.zeros(self.k, self.j)
-        for p1 in range(self.k + 1):
-            row = self.grid[p1]
-            for q1 in range(self.j + 1):
-                c = row[q1]
-                if not c:
-                    continue
-                for p2 in range(self.k + 1 - p1):
-                    orow = other.grid[p2]
-                    target = out.grid[p1 + p2]
-                    for q2 in range(self.j + 1 - q1):
-                        if orow[q2]:
-                            target[q1 + q2] = target[q1 + q2] + c * orow[q2]
-        return out
+        a_rows, ad = self._int_rows()
+        b_rows, bd = other._int_rows()
+        acc = [[0] * (self.j + 1) for _ in range(self.k + 1)]
+        for p1, arow in enumerate(a_rows):
+            if not any(arow):
+                continue
+            for p2 in range(self.k + 1 - p1):
+                brow = b_rows[p2]
+                if any(brow):
+                    acc[p1 + p2] = list(map(add, acc[p1 + p2], _iconv(arow, brow, self.j)))
+        den = ad * bd
+        grid = [[Fraction(s, den) if s else _ZERO for s in row] for row in acc]
+        return _Bivar(grid, self.k, self.j)
 
     def scale(self, factor):
         out = self.copy()
@@ -376,7 +383,7 @@ class NormallyOrderedSeries:
             {
                 "adag": i,
                 "a": j,
-                "lambda_poly": [rational_to_str(c) for c in self.terms[(i, j)]],
+                "lambda_poly": [str(c) for c in self.terms[(i, j)]],
             }
             for (i, j) in sorted(self.terms)
         ]

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, perm
 
 from .errors import NotInvertible, OrderExceeded, ZeroConstantTerm
-from .series import Polynomial, RationalLike, TruncatedSeries, as_fraction
+from .series import Polynomial, RationalLike, TruncatedSeries, _kmul, as_fraction
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
@@ -72,31 +72,25 @@ class ShefferSequence:
 def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
     """Extract s_0..s_{n_max} from the generating function.
 
-    The series exp(x * finv(t)) is expanded in t with polynomial-in-x
-    coefficients (exact), multiplied by the 1/g(finv(t)) prefactor, and
-    s_n is n! times the t^n coefficient.
+    exp(x * finv(t)) / g(finv(t)) is read off column by column, as an
+    exponential Riordan array: the x^j coefficient of s_n is
+    n!/j! * [t^n] finv(t)^j / g(finv(t)). Column j is column j-1 times
+    finv, so the build costs n_max exact series products.
     """
     if n_max > pair.order:
         raise OrderExceeded(f"n_max {n_max} exceeds series order {pair.order}")
     h = pair.f.comp_inverse()
     prefactor = pair.g.compose(h).reciprocal()
-    expansion = [Polynomial.one()]
-    for m in range(1, n_max + 1):
-        acc = Polynomial.zero()
-        for k in range(1, m + 1):
-            hk = h.coeffs[k]
-            if hk:
-                acc = acc + Polynomial.monomial(1, hk * k) * expansion[m - k]
-        expansion.append(acc.scale(Fraction(1, m)))
-    polys = []
-    for n in range(n_max + 1):
-        gn = Polynomial.zero()
-        for k in range(n + 1):
-            rk = prefactor.coeffs[k]
-            if rk:
-                gn = gn + expansion[n - k].scale(rk)
-        polys.append(gn.scale(factorial(n)))
-    return ShefferSequence(tuple(polys), pair)
+    finv = list(h.coeffs[: n_max + 1])
+    column = list(prefactor.coeffs[: n_max + 1])
+    rows = [[] for _ in range(n_max + 1)]
+    for j in range(n_max + 1):
+        if j:
+            column = _kmul(column, finv, n_max, _ZERO)
+        for n in range(j, n_max + 1):
+            rows[n].append(column[n] * perm(n, n - j))
+    polys = tuple(Polynomial.from_coeffs(row) for row in rows)
+    return ShefferSequence(polys, pair)
 
 
 def build_P(pair: ShefferPair, k_order: int) -> WeylElement:

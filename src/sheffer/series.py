@@ -6,16 +6,22 @@ numeric evaluation helpers. A series carries its truncation order as
 explicit state, and binary operations truncate to the smaller operand
 order instead of padding silently.
 
-The low-level kernels at the top of the module are written against a
-generic coefficient field (anything with ``+ - * /`` and truthiness):
-rationals, Gaussian rationals, and Python complex all work. The public
-classes fix the field to `Fraction`.
+The low-level kernels at the top of the module work on plain coefficient
+lists over a field given by its ``zero`` (and ``one``): `Fraction` for the
+public classes, Python complex for the recentred coherent-state route.
+Over `Fraction` the product kernel is fraction-free, in the layout of
+FLINT's ``fmpq_poly``: each operand becomes integer numerators over one
+common denominator, products are summed as integers, and one `Fraction`
+(one gcd) is built per output coefficient. Every kernel built on products
+(composition, compositional inverse, log, tan, arctan) inherits that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import (
@@ -42,28 +48,49 @@ def as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"exact rational expected, got {type(value).__name__}")
 
 
-def rational_to_str(value: Fraction) -> str:
-    return str(value)
-
-
-def rational_from_str(text: str) -> Fraction:
-    return Fraction(text)
-
-
 # ---------------------------------------------------------------------------
-# field-generic kernels on plain coefficient lists
+# kernels on plain coefficient lists
 # ---------------------------------------------------------------------------
+
+
+def _common_denominator(values):
+    """Rationals as (integer numerators, their least common denominator)."""
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _iconv(a, b, n):
+    """Integer coefficients 0..n of the product of integer lists a and b."""
+    la, lb = len(a), len(b)
+    while la and not a[la - 1]:
+        la -= 1
+    while lb and not b[lb - 1]:
+        lb -= 1
+    if not la or not lb:
+        return [0] * (n + 1)
+    rb = b[:lb][::-1]
+    out = []
+    for k in range(min(n, la + lb - 2) + 1):
+        lo = max(0, k - lb + 1)
+        hi = min(k, la - 1)
+        out.append(sum(map(mul, a[lo : hi + 1], rb[lb - 1 - k + lo : lb - k + hi])))
+    return out + [0] * (n + 1 - len(out))
 
 
 def _kmul(a, b, n, zero):
-    out = [zero] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        if not ai:
-            continue
-        for j, bj in enumerate(b[: n + 1 - i]):
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+    if not isinstance(zero, Fraction):
+        out = [zero] * (n + 1)
+        for i, ai in enumerate(a[: n + 1]):
+            if not ai:
+                continue
+            for j, bj in enumerate(b[: n + 1 - i]):
+                if bj:
+                    out[i + j] = out[i + j] + ai * bj
+        return out
+    an, ad = _common_denominator(a[: n + 1])
+    bn, bd = _common_denominator(b[: n + 1])
+    den = ad * bd
+    return [Fraction(s, den) if s else zero for s in _iconv(an, bn, n)]
 
 
 def _krecip(a, n, zero, one):
@@ -427,12 +454,12 @@ class TruncatedSeries:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [rational_to_str(c) for c in self.coeffs]}
+        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "TruncatedSeries":
         return TruncatedSeries.from_coeffs(
-            [rational_from_str(s) for s in data["coeffs"]], data["order"]
+            [Fraction(s) for s in data["coeffs"]], data["order"]
         )
 
     def __str__(self):

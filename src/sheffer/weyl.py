@@ -13,7 +13,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import OrderExceeded
-from .series import Polynomial, RationalLike, TruncatedSeries, as_fraction, rational_to_str
+from .series import (
+    Polynomial,
+    RationalLike,
+    TruncatedSeries,
+    _common_denominator,
+    as_fraction,
+)
 
 _ZERO = Fraction(0)
 
@@ -155,7 +161,7 @@ class WeylElement:
 
     def to_json_list(self) -> list:
         return [
-            {"x": i, "d": j, "c": rational_to_str(self.terms[(i, j)])}
+            {"x": i, "d": j, "c": str(self.terms[(i, j)])}
             for (i, j) in sorted(self.terms)
         ]
 
@@ -189,21 +195,26 @@ def weyl_mul(u: WeylElement, v: WeylElement) -> WeylElement:
 
     Uses the closed-form reordering
     D^m X^n = sum_k k! C(m,k) C(n,k) X^{n-k} D^{m-k}, so each monomial pair
-    costs O(min(m, n)).
+    costs O(min(m, n)). Coefficients are accumulated as integers over the
+    product of the operands' common denominators.
     """
+    un, ud = _common_denominator(list(u.terms.values()))
+    vn, vd = _common_denominator(list(v.terms.values()))
+    v_items = list(zip(v.terms, vn))
     out: dict = {}
-    for (i1, j1), c1 in u.terms.items():
-        for (i2, j2), c2 in v.terms.items():
+    for (i1, j1), c1 in zip(u.terms, un):
+        for (i2, j2), c2 in v_items:
             c = c1 * c2
             for k in range(min(j1, i2) + 1):
                 w = c * (factorial(k) * comb(j1, k) * comb(i2, k))
                 key = (i1 + i2 - k, j1 + j2 - k)
-                s = out.get(key, _ZERO) + w
+                s = out.get(key, 0) + w
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
-    return WeylElement(out)
+    den = ud * vd
+    return WeylElement({key: Fraction(s, den) for key, s in out.items()})
 
 
 def commutator(u: WeylElement, v: WeylElement) -> WeylElement:

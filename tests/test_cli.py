@@ -264,6 +264,22 @@ def test_gen_syntax_error_exit_two(capsys):
     assert code == 2
 
 
+def test_gen_negative_degree_exit_two(capsys):
+    code, out, err = run_cli(capsys, "gen", "--family", "hermite", "--n", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
+def test_bad_env_value_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("SHEFFER_ORDER", "abc")
+    code, out, err = run_cli(capsys, "gen", "--family", "hermite", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "SHEFFER_ORDER" in err
+    assert "abc" in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["gen", "--family", "nosuch", "--n", "2"])
