@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import scipy.special
 
 from .errors import GuardExceeded, UnknownFamily
-from .normord import exp_element_coherent_closed, overlap
+from .normord import compile_pair, exp_element_coherent_closed, overlap
 from .sequences import ShefferPair, sequence_via_egf
 from .series import (
     Polynomial,
@@ -281,10 +281,10 @@ def laguerre_moment_variants(zstar: complex, n: int) -> dict:
 
     With s_n = n!*L_n, the alternative n!*L_{n-1}(z*) equals n * s_{n-1}(z*).
     """
-    seq = sequence_via_egf(family("laguerre", max(16, n + 1)).pair, n)
+    compiled = compile_pair(family("laguerre", max(16, n + 1)).pair)
     return {
-        "n_factorial_L_n": complex(seq.poly(n)(complex(zstar))),
-        "n_factorial_L_n_minus_1": n * complex(seq.poly(n - 1)(complex(zstar))),
+        "n_factorial_L_n": compiled.mono_element(n, 0, zstar),
+        "n_factorial_L_n_minus_1": n * compiled.mono_element(n - 1, 0, zstar),
     }
 
 

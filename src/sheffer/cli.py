@@ -24,6 +24,7 @@ import io
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 
 from . import suites
@@ -31,6 +32,7 @@ from .catalog import FAMILY_LABELS, family
 from .errors import DomainError, ParseError, ShefferError, UnknownFamily
 from .normord import (
     CoherentParams,
+    check_coherent_guards,
     exp_element_coherent_closed,
     fock_verify,
     normal_order_lhs,
@@ -128,10 +130,19 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+# Parsing recurses once per parenthesis or call level and evaluation once
+# per level of the tree, so both are bounded well inside the interpreter's
+# recursion limit.
+_MAX_DEPTH = 100
+
+
 class _Parser:
+    """Recursive descent; each rule returns (node, depth of its tree)."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -147,39 +158,54 @@ class _Parser:
             raise ParseError(token[2], f"expected {kind!r}, found {token[1]!r}")
         return token
 
+    @staticmethod
+    def deeper(depth: int, pos: int) -> int:
+        if depth >= _MAX_DEPTH:
+            raise ParseError(pos, f"expression nested more than {_MAX_DEPTH} levels deep")
+        return depth + 1
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr()
         token = self.peek()
         if token[0] != "END":
             raise ParseError(token[2], f"unexpected trailing input {token[1]!r}")
         return node
 
+    def nested(self, pos: int):
+        self.nesting = self.deeper(self.nesting, pos)
+        result = self.expr()
+        self.nesting -= 1
+        return result
+
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.advance()
-            node = BinOp(op, node, self.term(), pos)
-        return node
+            right, right_depth = self.term()
+            node, depth = BinOp(op, node, right, pos), self.deeper(max(depth, right_depth), pos)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.advance()
-            node = BinOp(op, node, self.unary(), pos)
-        return node
+            right, right_depth = self.unary()
+            node, depth = BinOp(op, node, right, pos), self.deeper(max(depth, right_depth), pos)
+        return node, depth
 
     def unary(self):
-        token = self.peek()
-        if token[0] == "-":
-            self.advance()
-            return Neg(self.unary(), token[2])
-        if token[0] == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+        # a run of signs is read in a loop, not by recursion
+        signs = []
+        while self.peek()[0] in ("+", "-"):
+            signs.append(self.advance())
+        node, depth = self.power()
+        for kind, _, pos in reversed(signs):
+            if kind == "-":
+                node, depth = Neg(node, pos), self.deeper(depth, pos)
+        return node, depth
 
     def power(self):
-        node = self.atom()
+        node, depth = self.atom()
         while self.peek()[0] == "^":
             _, _, pos = self.advance()
             sign = 1
@@ -187,27 +213,27 @@ class _Parser:
                 self.advance()
                 sign = -1
             num = self.expect("NUM")
-            node = Pow(node, sign * int(num[1]), pos)
-        return node
+            node, depth = Pow(node, sign * int(num[1]), pos), self.deeper(depth, pos)
+        return node, depth
 
     def atom(self):
         token = self.advance()
         kind, text, pos = token
         if kind == "NUM":
-            return Num(int(text), pos)
+            return Num(int(text), pos), 1
         if kind == "IDENT":
             if text == "x":
-                return Var(pos)
+                return Var(pos), 1
             if text in _FUNCTIONS:
                 self.expect("(")
-                arg = self.expr()
+                arg, depth = self.nested(pos)
                 self.expect(")")
-                return Call(text, arg, pos)
+                return Call(text, arg, pos), self.deeper(depth, pos)
             raise ParseError(pos, f"unknown identifier {text!r}")
         if kind == "(":
-            node = self.expr()
+            result = self.nested(pos)
             self.expect(")")
-            return node
+            return result
         raise ParseError(pos, f"unexpected token {text!r}")
 
 
@@ -508,9 +534,12 @@ def _cmd_verify(args) -> int:
         raise UnknownFamily(f"no family named {args.family!r}")
     suite_names = [args.suite] if args.suite else list(_SUITE_NAMES)
     all_rows = []
+    seconds = []
     for name in suite_names:
+        start = time.perf_counter()
         for task in _suite_tasks(name, labels, cfg):
             all_rows.extend({"suite": name, **row} for row in task())
+        seconds.append(f"{name} {time.perf_counter() - start:.2f} s")
     ok = suites.rows_pass(all_rows)
     summary = {
         "suites": suite_names,
@@ -524,8 +553,8 @@ def _cmd_verify(args) -> int:
         _emit(all_rows, "csv", columns=["suite", "family", "identity", "n", "pass"])
     else:
         _emit(summary, "json")
-    print(f"verify: {summary['checked']} checks, {summary['failed']} failed",
-          file=sys.stderr)
+    print(f"verify: {summary['checked']} checks, {summary['failed']} failed "
+          f"({', '.join(seconds)})", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -541,6 +570,7 @@ def _cmd_matrix_element(args) -> int:
     cfg = config_from(args)
     entry = family(args.family, cfg.order)
     z, zp, lam = args.z, args.zp, args.lam
+    check_coherent_guards(zp, lam, entry.z_guard, entry.lam_guard)
     value = exp_element_coherent_closed(entry.maps, z, zp, lam)
     payload = {
         "family": args.family,

@@ -13,14 +13,16 @@ Over `Fraction` the product kernel is fraction-free, in the layout of
 FLINT's ``fmpq_poly``: each operand becomes integer numerators over one
 common denominator, products are summed as integers, and one `Fraction`
 (one gcd) is built per output coefficient. Every kernel built on products
-(composition, compositional inverse, log, tan, arctan) inherits that.
+(composition, compositional inverse, log, tan, arctan) inherits that. The
+reciprocal sums integers the same way, with its outputs kept over a
+running common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence, Union
 
@@ -95,15 +97,32 @@ def _kmul(a, b, n, zero):
 
 def _krecip(a, n, zero, one):
     inv0 = one / a[0]
-    out = [zero] * (n + 1)
-    out[0] = inv0
+    if not isinstance(zero, Fraction):
+        out = [zero] * (n + 1)
+        out[0] = inv0
+        for m in range(1, n + 1):
+            acc = zero
+            for k in range(1, m + 1):
+                ak = a[k] if k < len(a) else zero
+                if ak:
+                    acc = acc + ak * out[m - k]
+            out[m] = -(acc * inv0)
+        return out
+    # out[m] = -inv0 * sum_k a[k] out[m-k], summed as integers: a over its
+    # common denominator, the outputs so far over their running one
+    an, ad = _common_denominator(a[: n + 1])
+    an += [0] * (n + 1 - len(an))
+    out = [inv0]
+    nums, den = [inv0.numerator], inv0.denominator
     for m in range(1, n + 1):
-        acc = zero
-        for k in range(1, m + 1):
-            ak = a[k] if k < len(a) else zero
-            if ak:
-                acc = acc + ak * out[m - k]
-        out[m] = -(acc * inv0)
+        s = sum(map(mul, an[1 : m + 1], reversed(nums)))
+        c = Fraction(-s * inv0.numerator, ad * den * inv0.denominator)
+        if den % c.denominator:
+            grow = c.denominator // gcd(den, c.denominator)
+            nums = [v * grow for v in nums]
+            den *= grow
+        out.append(c)
+        nums.append(c.numerator * (den // c.denominator))
     return out
 
 

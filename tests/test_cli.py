@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -226,6 +227,14 @@ def test_verify_single_suite_exits_zero(capsys):
     assert all(row["suite"] == "monomiality" for row in payload["rows"])
 
 
+def test_verify_summary_reports_suite_seconds_on_stderr(capsys):
+    code, out, err = run_cli(capsys, "verify", "evolution")
+    assert code == 0
+    assert re.fullmatch(r"verify: \d+ checks, 0 failed \(evolution \d+\.\d\d s\)\n", err)
+    assert "checks," not in out
+    assert set(json.loads(out)) == {"suites", "families", "rows", "checked", "failed", "pass"}
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "evolution", "--format", "csv"
@@ -262,6 +271,35 @@ def test_gen_domain_error_exit_three(capsys):
 def test_gen_syntax_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "gen", "--f", "x +", "--g", "1", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("depth", [200, 10_000])
+def test_deeply_nested_spec_is_a_positioned_parse_error(capsys, depth):
+    text = "(" * depth + "x" + ")" * depth
+    with pytest.raises(ParseError) as info:
+        parse_series(text, 4)
+    assert 0 < info.value.position < depth
+    code, out, err = run_cli(capsys, "gen", "--f", text, "--g", "1", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "nested" in err and "position" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["-" * 10_000 + "x", "+".join(["x"] * 5_000), "exp(" * 300 + "x" + ")" * 300,
+     "x" + "^1" * 5_000],
+)
+def test_deep_trees_without_parentheses_are_parse_errors(text):
+    # long sign runs and operator chains nest the tree as deeply as parentheses
+    with pytest.raises(ParseError, match="nested"):
+        parse_series(text, 4)
+
+
+def test_nesting_within_the_limit_parses():
+    assert parse_series("(" * 90 + "x" + ")" * 90, 3) == TruncatedSeries.x(3)
+    assert parse_series("-" * 99 + "x", 3) == -TruncatedSeries.x(3)
+    assert parse_spec("-+-x") == parse_spec("-(-x)")
 
 
 def test_gen_negative_degree_exit_two(capsys):
@@ -302,6 +340,26 @@ def test_matrix_element_closed_value(capsys):
     )
     got = complex(*payload["exp_element"])
     assert abs(got - expected) < 1e-12
+
+
+def test_matrix_element_applies_the_family_guards(capsys):
+    # bessel's finv has a branch point at w = 1/2: lambda + f(z') = 0.5 + 0.495
+    # lies past it, and z' = 0.9, lambda = 0.5 lie past the family guards
+    code, out, err = run_cli(
+        capsys,
+        "matrix-element", "--family", "bessel",
+        "--z", "0.1,0", "--zp", "0.9,0", "--lambda", "0.5,0",
+    )
+    assert code == 3
+    assert out == ""
+    assert "guard" in err
+    code, out, err = run_cli(
+        capsys,
+        "matrix-element", "--family", "bessel",
+        "--z", "0.1,0", "--zp", "0.1,0", "--lambda", "0.5,0",
+    )
+    assert code == 3
+    assert "|lambda|" in err
 
 
 def test_matrix_element_fock_check(capsys):

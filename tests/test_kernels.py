@@ -39,6 +39,20 @@ def ref_kmul(a, b, n, zero):
     return out
 
 
+def ref_krecip(a, n, zero, one):
+    inv0 = one / a[0]
+    out = [zero] * (n + 1)
+    out[0] = inv0
+    for m in range(1, n + 1):
+        acc = zero
+        for k in range(1, m + 1):
+            ak = a[k] if k < len(a) else zero
+            if ak:
+                acc = acc + ak * out[m - k]
+        out[m] = -(acc * inv0)
+    return out
+
+
 def ref_kcompose(outer, inner, n, zero):
     out = [zero] * (n + 1)
     for c in reversed(outer[: n + 1]):
@@ -118,6 +132,31 @@ def test_kmul_matches_fraction_loop(a, b, n):
     assert all(type(c) is F for c in out)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    coefficients.filter(bool),
+    st.lists(coefficients, max_size=12),
+    st.integers(0, 14),
+)
+def test_krecip_matches_fraction_loop(a0, tail, n):
+    a = [a0] + tail
+    out = _krecip(a, n, _ZERO, F(1))
+    assert out == ref_krecip(a, n, _ZERO, F(1))
+    assert len(out) == n + 1
+    assert all(type(c) is F for c in out)
+
+
+def test_krecip_matches_fraction_loop_on_the_catalog():
+    for label in ("hermite", "laguerre", "bessel", "bell", "lower_factorial", "hahn",
+                  "idempotent"):
+        pair = family(label, 24).pair
+        for series in (pair.f.derivative(), pair.g, pair.g.compose(pair.f.comp_inverse())):
+            a = list(series.coeffs)
+            assert _krecip(a, series.order, _ZERO, F(1)) == ref_krecip(
+                a, series.order, _ZERO, F(1)
+            )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(coefficients, min_size=1, max_size=8), st.lists(coefficients, max_size=8))
 def test_kcompose_matches_fraction_loop(outer, inner_tail):
@@ -160,6 +199,10 @@ complex_coeffs = st.builds(
 )
 def test_complex_kmul_and_kcompose_match_generic_loop(a, b, n):
     assert _kmul(a, b, n, 0j) == ref_kmul(a, b, n, 0j)
+    if a and a[0]:
+        # repr compares overflowed entries too (nan != nan)
+        got, ref = _krecip(a, n, 0j, 1 + 0j), ref_krecip(a, n, 0j, 1 + 0j)
+        assert list(map(repr, got)) == list(map(repr, ref))
     inner = [0j] + b
     assert _kcompose(a, inner, n, 0j) == ref_kcompose(a, inner, n, 0j)
 
@@ -181,7 +224,7 @@ def test_complex_kinverse_matches_generic_loop(f):
         err = ref_kcompose(a, g, prec, 0j)
         err[1] = err[1] - 1
         slope = ref_kcompose(da, g, prec, 0j)
-        corr = ref_kmul(err, _krecip(slope, prec, 0j, 1 + 0j), prec, 0j)
+        corr = ref_kmul(err, ref_krecip(slope, prec, 0j, 1 + 0j), prec, 0j)
         g = [g[k] - corr[k] for k in range(prec + 1)]
     assert got == g
 

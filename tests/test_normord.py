@@ -1,5 +1,6 @@
 import cmath
 import math
+from collections import Counter
 from fractions import Fraction as F
 from math import comb, factorial
 
@@ -34,7 +35,12 @@ from sheffer import (
     verify_normal_order,
     weyl_mul,
 )
-from sheffer.suites import rows_pass
+from sheffer import normord
+from sheffer.catalog import FAMILY_LABELS
+from sheffer.normord import compile_pair
+from sheffer.sequences import build_M, taylor_shift
+from sheffer.series import GR_ZERO, GaussianRational
+from sheffer.suites import coherent_rows, rows_pass
 
 
 # -- closed-form matrix elements ------------------------------------------------
@@ -415,3 +421,176 @@ def test_fock_verify_guards_and_cutoff():
             z_guard=entry.z_guard,
             lam_guard=entry.lam_guard,
         )
+
+
+# -- the compiled pair against the per-call route it replaces -------------------
+#
+# The references below are the per-call implementations: exact Fraction chains
+# M^k x^l evaluated by Horner at a complex point, the generating-function
+# series evaluated by ``eval_complex``, the Horner scheme on the matrix of a,
+# the entrywise loop for exp(t*adag) and the exact Gaussian-rational Taylor
+# shift of k = 1/f' and h*k.
+
+
+def ref_mono_element_operator(pair, n, l, zstar):
+    m_op = build_M(pair, max(n + l, 1))
+    poly = Polynomial.monomial(l)
+    for _ in range(n):
+        poly = m_op.apply(poly)
+    return complex(poly(complex(zstar))) / math.sqrt(factorial(l))
+
+
+def ref_exp_element_state_operator(pair, lam, zstar, l):
+    k_top = pair.order - 1
+    m_op = build_M(pair, k_top)
+    zs = complex(zstar)
+    poly = Polynomial.monomial(l)
+    acc = complex(poly(zs))
+    power = 1.0 + 0j
+    for k in range(1, k_top - l + 1):
+        poly = m_op.apply(poly)
+        power *= lam
+        acc += complex(poly(zs)) * power / factorial(k)
+    return acc / math.sqrt(factorial(l))
+
+
+def ref_exp_element_vac(pair, lam, zstar):
+    h = pair.f.comp_inverse()
+    prefactor = pair.g.compose(h).reciprocal()
+    hv = h.eval_complex(lam, 1.0).value
+    return prefactor.eval_complex(lam, 1.0).value * cmath.exp(complex(zstar) * hv)
+
+
+def ref_series_on_a(space, coeffs):
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for c in reversed(list(coeffs)):
+        out = out @ space.a
+        out += complex(c) * np.eye(space.dim)
+    return out
+
+
+def ref_exp_adag(space, t):
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for n in range(space.dim):
+        entry = 1.0 + 0j
+        out[n, n] = entry
+        for m in range(n, space.dim - 1):
+            entry = entry * t * math.sqrt(m + 1) / (m - n + 1)
+            out[m + 1, n] = entry
+    return out
+
+
+def ref_pair_matrix(space, pair, shift):
+    k_ser = pair.f.derivative().reciprocal()
+    hk_ser = (pair.g.derivative() * pair.g.reciprocal() * k_ser).truncate(k_ser.order)
+    t = GaussianRational.from_complex(complex(shift))
+    k, hk = (
+        [c.to_complex() for c in taylor_shift([GaussianRational.of(c) for c in ser.coeffs], t,
+                                              GR_ZERO)]
+        for ser in (k_ser, hk_ser)
+    )
+    return space.adag @ ref_series_on_a(space, k) - ref_series_on_a(space, hk)
+
+
+def _points(seed, count, radius):
+    rng = np.random.default_rng(seed)
+    r = radius * np.sqrt(rng.uniform(size=count))
+    theta = rng.uniform(0, 2 * np.pi, size=count)
+    return [complex(x) for x in r * np.exp(1j * theta)]
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_compiled_closed_forms_match_the_per_call_route_bit_for_bit(label):
+    entry = family(label, 16)
+    pair = entry.pair
+    for zstar, lam in zip(_points(1, 3, 1.0), _points(2, 3, min(0.1, entry.lam_guard))):
+        for l in range(3):
+            for n in range(7):
+                assert mono_element_operator(pair, n, l, zstar) == ref_mono_element_operator(
+                    pair, n, l, zstar
+                ), (n, l)
+            assert exp_element_state_operator(pair, lam, zstar, l) == (
+                ref_exp_element_state_operator(pair, lam, zstar, l)
+            ), l
+        assert exp_element_vac(pair, lam, zstar) == ref_exp_element_vac(pair, lam, zstar)
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_shifted_image_matches_the_exact_taylor_shift(label):
+    entry = family(label, 16)
+    space = FockSpace(64)
+    for shift in _points(3, 3, min(1.0, entry.z_guard)):
+        got = space.pair_matrix(entry.pair, shift=shift)
+        ref = ref_pair_matrix(space, entry.pair, shift)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_unshifted_image_is_the_matrix_horner_image_and_is_cached():
+    for label in FAMILY_LABELS:
+        pair = family(label, 16).pair
+        space = FockSpace(48)
+        image = space.pair_matrix(pair)
+        # every entry is c_j times sqrt factors rounded in the same order as
+        # the matrix Horner scheme, so the images agree bit for bit
+        np.testing.assert_array_equal(image, ref_pair_matrix(space, pair, 0))
+        assert FockSpace(48).pair_matrix(pair) is image
+        assert not image.flags.writeable
+        # a zero shift is the unshifted image; the complex shift path agrees there
+        assert space.pair_matrix(pair, shift=0j) is image
+        np.testing.assert_array_equal(compile_pair(pair).shifted_m_image(space, 0j), image)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 33, 64])
+def test_table_built_fock_images_match_the_loops(dim):
+    space = FockSpace(dim)
+    rng = np.random.default_rng(dim)
+    for t in _points(dim, 4, 1.0):
+        ref = ref_exp_adag(space, t)
+        assert np.abs(space.exp_adag(t) - ref).max() <= 1e-15 * np.abs(ref).max()
+    for size in (1, 3, 17, dim + 3):
+        coeffs = rng.uniform(-2, 2, size) + 1j * rng.uniform(-2, 2, size) * (size % 2)
+        ref = ref_series_on_a(space, coeffs)
+        assert np.abs(space.series_on_a(coeffs) - ref).max() <= 1e-15 * np.abs(ref).max()
+    fractions = [F(1, 3), F(-7, 5), F(0), F(22, 7)]
+    ref = ref_series_on_a(space, fractions)
+    assert np.abs(space.series_on_a(fractions) - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("label", ("laguerre", "hahn", "idempotent"))
+def test_coherent_draws_do_no_exact_work(label, monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(normord, "build_M", counted("build_M", build_M))
+    monkeypatch.setattr(
+        TruncatedSeries, "comp_inverse", counted("comp_inverse", TruncatedSeries.comp_inverse)
+    )
+    monkeypatch.setattr(WeylElement, "apply", counted("apply", WeylElement.apply))
+    family(label, 16)
+    seen = []
+    for draws in (1, 10):
+        compile_pair.cache_clear()
+        counts.clear()
+        rows = coherent_rows(label, draws=draws)
+        assert rows_pass(rows)
+        seen.append(dict(counts))
+    assert seen[0] == seen[1]
+    assert seen[0]["build_M"] == 1
+
+
+def test_compiled_closed_forms_reject_negative_indices():
+    pair = family("hermite", 8).pair
+    with pytest.raises(OrderExceeded):
+        mono_element(pair, -2, 1, 0.1)
+    with pytest.raises(IndexError):
+        mono_element_operator(pair, -1, 0, 0.1)
+    with pytest.raises(IndexError):
+        exp_element_state_operator(pair, 0.05, 0.1, -1)
+    with pytest.raises(IndexError):
+        exp_element_state(pair, 0.05, 0.1, -1)
