@@ -25,13 +25,13 @@ Guard fields:
 from __future__ import annotations
 
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, Optional
-
-import scipy.special
 
 from .errors import GuardExceeded, UnknownFamily
 from .normord import compile_pair, exp_element_coherent_closed, overlap
@@ -78,8 +78,58 @@ class FamilyEntry:
     notes: tuple
 
 
-def _lambertw(w: complex) -> complex:
-    return complex(scipy.special.lambertw(w))
+def _on_principal_branch(w: complex) -> bool:
+    # W0 maps onto Im w in (-pi, pi) right of the curve -v cot(v) + i v, and
+    # its branch cut below -1/e onto that curve; the tolerance admits rounding
+    # next to the branch point, where W0 meets W-1 at -1 and the value is
+    # known only to about sqrt(eps)
+    u, v = w.real, w.imag
+    edge = -v / math.tan(v) if v else -1.0
+    return abs(v) < math.pi and u >= edge - 1e-7 * (1 + abs(w))
+
+
+def _lambertw(z: complex) -> complex:
+    """Principal branch W0 of Lambert W, the inverse of w*exp(w).
+
+    Halley iteration from a series guess at the branch point -1/e, the
+    [1/1] Pade approximant z(2+z)/(2+3z) near 0, or log(z) - log(log(z))
+    elsewhere. The result has converged: either it solves w*exp(w) = z
+    for a z within rounding of the argument, or the last step was below
+    1e-12 relative, which the cubic rate takes to full precision. Anything
+    else, or a value off the principal branch, raises GuardExceeded.
+    """
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise GuardExceeded(f"Lambert W of a non-finite argument {z}")
+    if abs(z + math.exp(-1)) <= 0.3:
+        # built from parts so that the sign of a zero imaginary part picks
+        # the side of the cut
+        p = cmath.sqrt(complex(2 * (math.e * z.real + 1), 2 * math.e * z.imag))
+        w = -1 + p * (1 + p * (-1 / 3 + p * 11 / 72))
+    elif abs(z) <= 1.5 and z.real > -0.2 - abs(z.imag):
+        # a real guess on the negative axis could not reach a complex W0
+        w = z * (2 + z) / (2 + 3 * z)
+    else:
+        w = cmath.log(z)
+        w -= cmath.log(w)
+    try:
+        for _ in range(64):
+            # the residual w*exp(w) - z over exp(w), which cannot overflow
+            # on the principal branch (Re w >= -1 there)
+            t = w - z * cmath.exp(-w)
+            if abs(t) <= 8 * sys.float_info.epsilon * abs(w):
+                break
+            step = t / (w + 1 - (w + 2) / (2 * w + 2) * t)
+            w -= step
+            if abs(step) <= 1e-12 * abs(w):
+                break
+        else:
+            w = complex("nan")
+    except (OverflowError, ZeroDivisionError):
+        w = complex("nan")
+    if not cmath.isfinite(w) or not _on_principal_branch(w):
+        raise GuardExceeded(f"Lambert W did not converge on the principal branch at {z}")
+    return w
 
 
 def _series_fg(label: str, order: int):

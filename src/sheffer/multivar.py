@@ -18,7 +18,7 @@ from math import factorial
 
 from .errors import OrderExceeded
 from .series import BivariatePolynomial, Polynomial, TruncatedSeries
-from .sequences import ShefferPair, build_M, build_P, sequence_via_egf
+from .sequences import ShefferPair, _check_degree, build_M, build_P, sequence_via_egf
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
@@ -211,6 +211,7 @@ def _poly_xy(px: Polynomial, py: Polynomial) -> BivariatePolynomial:
 
 def umbral_S(pair: ShefferPair, n: int) -> BivariatePolynomial:
     """Composite S_n(x,y) = n! sum_r s_{n-2r}(x) s_r(y) / ((n-2r)! r!)."""
+    _check_degree(n, "degree")
     if n > pair.order:
         raise OrderExceeded(f"S_{n} needs the sequence to degree {n}")
     seq = sequence_via_egf(pair, n)
@@ -243,6 +244,7 @@ def theta_pi_check(pair: ShefferPair, n_max: int) -> list:
     Pi S_n = n S_{n-1} happen to hold; they carry pass=True regardless
     (status is the ``holds`` field).
     """
+    _check_degree(n_max, "n_max")
     depth = n_max + 2
     if depth > pair.order - 1:
         raise OrderExceeded(f"need series order >= {depth + 1}")

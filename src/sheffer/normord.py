@@ -17,7 +17,9 @@ once per pair (``compile_pair`` memoizes on the pair) in exact arithmetic and
 rounded to complex: finv and 1/g(finv), the sequence s_n, the chains
 M^k x^l from one raising operator at the top usable degree, the exact
 k = 1/f' and h*k with binomial-weighted matrices for their Taylor shift,
-and the image of M for each Fock cutoff. A verifier draw then runs on
+and the image of M for each Fock cutoff. The exact series among these
+(finv, 1/g(finv), k and h*k) are the pair's core from ``sequences``, which
+``normal_order_rhs`` reads too. A verifier draw then runs on
 floating point alone: Horner sums, numpy products, and the recentred image
 of M as one matrix-vector product with the powers of z'. ``FockSpace``
 builds the images of a-series and exp(t*adag) entrywise from the factors
@@ -60,7 +62,15 @@ from .series import (
     _kinverse,
     _krecip,
 )
-from .sequences import ShefferPair, build_M, sequence_via_egf, taylor_shift
+from .sequences import (
+    ShefferPair,
+    build_M,
+    pair_finv,
+    pair_ladder,
+    pair_prefactor,
+    sequence_via_egf,
+    taylor_shift,
+)
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
@@ -142,8 +152,8 @@ class CompiledPair:
     @cached_property
     def _vacuum(self):
         # finv and 1/g(finv): <z|exp(lam*M)|0>/<z|0> = exp(z* finv(lam)) / g(finv(lam))
-        h = self.pair.f.comp_inverse()
-        return _rounded(h.coeffs), _rounded(self.pair.g.compose(h).reciprocal().coeffs)
+        finv, prefactor = pair_finv(self.pair), pair_prefactor(self.pair)
+        return _rounded(finv.coeffs), _rounded(prefactor.coeffs)
 
     @cached_property
     def _sequence(self) -> list:
@@ -170,17 +180,9 @@ class CompiledPair:
         return chain
 
     @cached_property
-    def _ladder(self):
-        # M = adag*k(a) - (h*k)(a) with k = 1/f' and h = g'/g
-        k_ser = self.pair.f.derivative().reciprocal()
-        hk_ser = (self.pair.g.derivative() * self.pair.g.reciprocal() * k_ser).truncate(
-            k_ser.order
-        )
-        return k_ser.coeffs, hk_ser.coeffs
-
-    @cached_property
     def _ladder_shift_weights(self):
-        return tuple(_shift_weights(coeffs) for coeffs in self._ladder)
+        # M = adag*k(a) - (h*k)(a) with k = 1/f' and h = g'/g
+        return tuple(_shift_weights(ser.coeffs) for ser in pair_ladder(self.pair))
 
     # -- closed forms (the public functions below delegate here) --------------
 
@@ -240,8 +242,8 @@ class CompiledPair:
         """Cutoff-dim image of M, built once per cutoff; read-only."""
         image = self._images.get(space.dim)
         if image is None:
-            k_coeffs, hk_coeffs = self._ladder
-            image = space._ladder_image(k_coeffs, hk_coeffs)
+            k_ser, hk_ser = pair_ladder(self.pair)
+            image = space._ladder_image(k_ser.coeffs, hk_ser.coeffs)
             image.setflags(write=False)
             self._images[space.dim] = image
         return image
@@ -562,7 +564,7 @@ def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
     need = lam_order + a_order
     if pair.order < need:
         raise OrderExceeded(f"series order {pair.order} < lam_order + a_order = {need}")
-    finv = pair.f.comp_inverse()
+    finv = pair_finv(pair)
     fa = _Bivar.from_a_series(list(pair.f.coeffs), lam_order, a_order)
     t = fa.add_scalar(_ONE, row=1, col=0)  # lambda + f(a)
     composed = _bivar_compose(list(finv.coeffs[: need + 1]), t)

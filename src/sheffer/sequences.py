@@ -12,15 +12,25 @@ routes) and the operators, and checks the ladder identities exactly.
 
 g is stored rescaled to g(0) = 1: the generating function at t = 0 forces
 s_0 = 1/g(0), and s_0 = 1 is the normalization used everywhere here.
+
+Everything else follows from a few exact series of the pair, so each is
+built once per process and memoized on the (immutable) pair: finv, the
+prefactor 1/g(finv), and the ladder series k = 1/f' and h*k with
+h = g'/g. The generating-function sequence, the raising operator, the
+composed-series normal ordering and the compiled coherent-state data all
+read them from here; finv has a cache of its own, so a caller that needs
+only finv never builds the prefactor. Negative degrees raise
+``IndexOutOfRange`` before any of it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, perm
 
-from .errors import NotInvertible, OrderExceeded, ZeroConstantTerm
+from .errors import IndexOutOfRange, NotInvertible, OrderExceeded, ZeroConstantTerm
 from .series import Polynomial, RationalLike, TruncatedSeries, _kmul, as_fraction
 from .weyl import WeylElement, weyl_mul
 
@@ -69,20 +79,48 @@ class ShefferSequence:
         return self.polys[n]
 
 
+def _check_degree(n: int, what: str) -> None:
+    if n < 0:
+        raise IndexOutOfRange(f"{what} {n} is negative")
+
+
+# pairs are immutable values, so memoizing on them is safe; the bound keeps
+# a long run over many custom pairs from growing without limit
+@lru_cache(maxsize=256)
+def pair_finv(pair: ShefferPair) -> TruncatedSeries:
+    """finv = f^(-1), the compositional inverse of f, at the pair's f order."""
+    return pair.f.comp_inverse()
+
+
+@lru_cache(maxsize=256)
+def pair_prefactor(pair: ShefferPair) -> TruncatedSeries:
+    """The generating-function prefactor 1/g(finv)."""
+    return pair.g.compose(pair_finv(pair)).reciprocal()
+
+
+@lru_cache(maxsize=256)
+def pair_ladder(pair: ShefferPair) -> tuple:
+    """(k, h*k) with k = 1/f' and h = g'/g, both at order pair.order - 1."""
+    top = pair.order - 1
+    k_ser = pair.f.derivative().reciprocal().truncate(top)
+    h_ser = pair.g.derivative() * pair.g.reciprocal()
+    return k_ser, (h_ser * k_ser).truncate(top)
+
+
 def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
     """Extract s_0..s_{n_max} from the generating function.
 
     exp(x * finv(t)) / g(finv(t)) is read off column by column, as an
     exponential Riordan array: the x^j coefficient of s_n is
     n!/j! * [t^n] finv(t)^j / g(finv(t)). Column j is column j-1 times
-    finv, so the build costs n_max exact series products.
+    finv, so the build costs n_max exact series products on the pair's
+    cached finv and prefactor.
     """
+    _check_degree(n_max, "n_max")
     if n_max > pair.order:
         raise OrderExceeded(f"n_max {n_max} exceeds series order {pair.order}")
-    h = pair.f.comp_inverse()
-    prefactor = pair.g.compose(h).reciprocal()
-    finv = list(h.coeffs[: n_max + 1])
-    column = list(prefactor.coeffs[: n_max + 1])
+    finv = list(pair_finv(pair).coeffs[: n_max + 1])
+    column = list(pair_prefactor(pair).coeffs[: n_max + 1])
     rows = [[] for _ in range(n_max + 1)]
     for j in range(n_max + 1):
         if j:
@@ -95,6 +133,7 @@ def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
 
 def build_P(pair: ShefferPair, k_order: int) -> WeylElement:
     """Lowering operator f(D), truncated at D^k_order."""
+    _check_degree(k_order, "K")
     if k_order > pair.order:
         raise OrderExceeded(f"K {k_order} exceeds series order {pair.order}")
     return WeylElement.from_series(pair.f.truncate(k_order), "d")
@@ -106,21 +145,23 @@ def build_M(pair: ShefferPair, k_order: int) -> WeylElement:
     Built with all D-powers <= k_order; the result acts exactly on
     polynomials of degree <= k_order. X enters linearly, and the product
     is expanded as X*k(D) - (h*k)(D) with h = g'/g and k = 1/f', keeping
-    the factor order of the defining expression before expansion.
+    the factor order of the defining expression before expansion. k and
+    h*k are truncations of the pair's cached ladder series.
     """
+    _check_degree(k_order, "K")
     if k_order > pair.order - 1:
         raise OrderExceeded(
             f"K {k_order} needs series order >= {k_order + 1}, have {pair.order}"
         )
-    k_ser = pair.f.derivative().reciprocal().truncate(k_order)
-    h_ser = (pair.g.derivative() * pair.g.reciprocal()).truncate(k_order)
+    k_ser, hk_ser = (ser.truncate(k_order) for ser in pair_ladder(pair))
     x_part = weyl_mul(WeylElement.x(), WeylElement.from_series(k_ser, "d"))
-    d_part = WeylElement.from_series((h_ser * k_ser).truncate(k_order), "d")
+    d_part = WeylElement.from_series(hk_ser, "d")
     return x_part - d_part
 
 
 def sequence_via_raising(pair: ShefferPair, n_max: int) -> ShefferSequence:
     """Generate the sequence as iterated raising: s_{n+1} = M s_n, s_0 = 1."""
+    _check_degree(n_max, "n_max")
     if n_max > pair.order - 1:
         raise OrderExceeded(f"n_max {n_max} needs series order >= {n_max + 1}")
     m_op = build_M(pair, max(n_max, 1))

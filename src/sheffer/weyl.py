@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import OrderExceeded
 from .series import (
@@ -138,24 +138,24 @@ class WeylElement:
     # -- action on polynomials ---------------------------------------------------
 
     def apply(self, p: Polynomial) -> Polynomial:
-        """Act on a polynomial: X^i D^j x^n = n!/(n-j)! x^{n+i-j} for j <= n."""
-        out: dict = {}
-        for n, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            for (i, j), w in self.terms.items():
-                if j > n:
-                    continue
-                power = n + i - j
-                ff = factorial(n) // factorial(n - j)
-                out[power] = out.get(power, _ZERO) + c * w * ff
-        if not out:
+        """Act on a polynomial: X^i D^j x^n = n!/(n-j)! x^{n+i-j} for j <= n.
+
+        Integer numerators over the polynomial's and the element's common
+        denominators are summed, and one Fraction is built per output power.
+        """
+        if not p.coeffs or not self.terms:
             return Polynomial.zero()
-        size = max(out) + 1
-        coeffs = [_ZERO] * size
-        for power, value in out.items():
-            coeffs[power] = value
-        return Polynomial.from_coeffs(coeffs)
+        pn, pd = _common_denominator(p.coeffs)
+        wn, wd = _common_denominator(list(self.terms.values()))
+        terms = [(i, j, w) for (i, j), w in zip(self.terms, wn)]
+        acc = [0] * (len(pn) + self.x_degree)
+        for n, c in enumerate(pn):
+            if c:
+                for i, j, w in terms:
+                    if j <= n:
+                        acc[n + i - j] += c * w * perm(n, j)
+        den = pd * wd
+        return Polynomial.from_coeffs([Fraction(s, den) for s in acc])
 
     # -- serialization ----------------------------------------------------------
 

@@ -1,6 +1,10 @@
 import cmath
+import os
+import subprocess
+import sys
 from math import factorial
 
+import numpy as np
 import pytest
 
 from sheffer import (
@@ -18,6 +22,7 @@ from sheffer import (
     sequence_via_egf,
     sqrt_series,
 )
+from sheffer.catalog import _lambertw
 
 
 def test_unknown_family():
@@ -150,3 +155,52 @@ def test_closed_maps_are_consistent():
 def test_adjudication_notes_are_recorded():
     assert any("n!*L_n" in note for note in family("laguerre").notes)
     assert any("arctan(lambda + tan z')" in note for note in family("hahn").notes)
+
+
+# -- Lambert W without scipy ---------------------------------------------------
+
+
+def _disk(rng, radius, count):
+    r = radius * np.sqrt(rng.uniform(size=count))
+    theta = rng.uniform(0, 2 * np.pi, size=count)
+    return r * np.exp(1j * theta)
+
+
+def test_lambertw_matches_scipy_on_the_catalog_disk():
+    scipy_special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(20050429)
+    points = list(_disk(rng, 0.35, 4000)) + [0j, 0.35, -0.35, 0.35j, -0.35j, 1e-300]
+    for z in points:
+        ref = complex(scipy_special.lambertw(z))
+        got = _lambertw(z)
+        assert abs(got - ref) <= 1e-14 * abs(ref), z
+        assert type(got) is complex
+
+
+def test_lambertw_matches_scipy_across_the_plane():
+    # far past the catalog's guards, on both sides of the branch cut and
+    # next to the branch point -1/e
+    scipy_special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(7)
+    radii = 10.0 ** rng.uniform(-10, 10, 3000)
+    points = list(radii * np.exp(2j * np.pi * rng.uniform(size=3000)))
+    points += [complex(x, s) for x in np.linspace(-4, 4, 161) for s in (0.0, -0.0)]
+    points += [-np.exp(-1) + 1e-6 * np.exp(1j * t) for t in np.linspace(-3, 3, 13)]
+    for z in points:
+        ref = complex(scipy_special.lambertw(z))
+        assert abs(_lambertw(z) - ref) <= 1e-12 * abs(ref), z
+    assert _lambertw(-np.exp(-1)) == -1
+
+
+def test_lambertw_rejects_non_finite_arguments():
+    for z in (complex("nan"), complex("inf"), complex(1, float("inf"))):
+        with pytest.raises(GuardExceeded):
+            _lambertw(z)
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, sheffer; sys.exit('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,4 +1,4 @@
-"""Fraction-free product kernels against the plain Fraction loops they replace.
+"""Fraction-free exact kernels against the plain Fraction loops they replace.
 
 Each reference below is the straightforward loop that builds and reduces a
 `Fraction` per multiply-add term. The kernels must agree with it exactly
@@ -10,12 +10,21 @@ from fractions import Fraction as F
 from math import comb, factorial
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 import conftest as strat
-from sheffer import Polynomial, ShefferSequence, TruncatedSeries, WeylElement, family, weyl_mul
+from sheffer import (
+    IndexOutOfRange,
+    Polynomial,
+    ShefferSequence,
+    TruncatedSeries,
+    WeylElement,
+    family,
+    weyl_mul,
+)
 from sheffer.normord import _Bivar
-from sheffer.sequences import sequence_via_egf
+from sheffer.sequences import build_M, sequence_via_egf
 from sheffer.series import _kcompose, _kinverse, _kmul, _krecip
 
 _ZERO = F(0)
@@ -75,6 +84,25 @@ def ref_weyl_mul(u, v):
                 else:
                     out.pop(key, None)
     return WeylElement(out)
+
+
+def ref_apply(element, p):
+    out = {}
+    for n, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        for (i, j), w in element.terms.items():
+            if j > n:
+                continue
+            power = n + i - j
+            ff = factorial(n) // factorial(n - j)
+            out[power] = out.get(power, _ZERO) + c * w * ff
+    if not out:
+        return Polynomial.zero()
+    coeffs = [_ZERO] * (max(out) + 1)
+    for power, value in out.items():
+        coeffs[power] = value
+    return Polynomial.from_coeffs(coeffs)
 
 
 def ref_bivar_mul(x, y):
@@ -262,6 +290,45 @@ def test_weyl_mul_cancellation_drops_terms():
     assert list(product.terms) == list(ref_weyl_mul(u, v).terms) == [(0, 0), (2, 2), (1, 1)]
 
 
+# -- Weyl action on polynomials ----------------------------------------------------
+
+polynomials = st.lists(coefficients, max_size=9).map(Polynomial.from_coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weyl_elements, polynomials)
+def test_weyl_apply_matches_fraction_loop(element, p):
+    got = element.apply(p)
+    assert got == ref_apply(element, p)
+    assert all(type(c) is F for c in got.coeffs)
+    assert not got.coeffs or got.coeffs[-1]
+
+
+def test_weyl_apply_edge_cases():
+    x = WeylElement({(0, 0): F(1, 3), (2, 1): F(-5, 2**100 + 1), (0, 3): 7})
+    p = Polynomial.from_coeffs([F(2, 3), 0, F(-1, 2**99), 5])
+    assert WeylElement().apply(p) == Polynomial.zero()
+    assert x.apply(Polynomial.zero()) == Polynomial.zero()
+    assert x.apply(p) == ref_apply(x, p)
+    # D^2 kills x, and D - X D^2 on x^2 cancels: every output coefficient is zero
+    assert WeylElement({(0, 2): 1}).apply(Polynomial.x()) == Polynomial.zero()
+    cancel = WeylElement({(0, 1): 1, (1, 2): -1})
+    assert cancel.apply(Polynomial.monomial(2)) == ref_apply(cancel, Polynomial.monomial(2))
+    assert cancel.apply(Polynomial.monomial(2)).coeffs == ()
+
+
+def test_weyl_apply_matches_fraction_loop_on_the_raising_chains():
+    for label in ("hermite", "laguerre", "bessel", "bell", "lower_factorial", "hahn",
+                  "idempotent"):
+        m_op = build_M(family(label, 16).pair, 15)
+        for l in range(3):
+            poly = Polynomial.monomial(l)
+            for _ in range(15 - l):
+                ref = ref_apply(m_op, poly)
+                poly = m_op.apply(poly)
+                assert poly == ref, label
+
+
 # -- the dense bivariate grid ------------------------------------------------------
 
 
@@ -300,5 +367,6 @@ def test_riordan_columns_match_the_expansion_on_the_catalog():
 
 def test_sequence_via_egf_empty_and_constant():
     pair = family("hermite", 4).pair
-    assert sequence_via_egf(pair, -1).polys == ()
+    with pytest.raises(IndexOutOfRange):
+        sequence_via_egf(pair, -1)
     assert sequence_via_egf(pair, 0).polys == (Polynomial.one(),)

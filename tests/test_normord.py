@@ -38,7 +38,7 @@ from sheffer import (
 from sheffer import normord
 from sheffer.catalog import FAMILY_LABELS
 from sheffer.normord import compile_pair
-from sheffer.sequences import build_M, taylor_shift
+from sheffer.sequences import build_M, pair_finv, pair_ladder, pair_prefactor, taylor_shift
 from sheffer.series import GR_ZERO, GaussianRational
 from sheffer.suites import coherent_rows, rows_pass
 
@@ -575,7 +575,8 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
     family(label, 16)
     seen = []
     for draws in (1, 10):
-        compile_pair.cache_clear()
+        for cache in (compile_pair, pair_finv, pair_prefactor, pair_ladder):
+            cache.cache_clear()
         counts.clear()
         rows = coherent_rows(label, draws=draws)
         assert rows_pass(rows)

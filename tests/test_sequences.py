@@ -5,6 +5,8 @@ from hypothesis import given, settings
 
 import conftest as strat
 from sheffer import (
+    FAMILY_LABELS,
+    IndexOutOfRange,
     NotInvertible,
     Polynomial,
     ShefferPair,
@@ -15,13 +17,19 @@ from sheffer import (
     build_P,
     exp_series,
     family,
+    heat_check,
+    normal_order_rhs,
     sequence_via_egf,
     sequence_via_raising,
     sheffer_coeffs,
     shift_pair,
+    theta_pi_check,
+    umbral_S,
     verify_monomiality,
 )
-from sheffer.suites import rows_pass
+from sheffer import sequences
+from sheffer.normord import FockSpace, compile_pair
+from sheffer.suites import heat_rows, rows_pass, theta_pi_rows
 
 
 def P(coeffs):
@@ -179,3 +187,121 @@ def test_shift_pair_rejects_g_zero():
     )
     with pytest.raises(ZeroConstantTerm):
         shift_pair(pair, 1)
+
+
+# -- the per-pair core: finv, 1/g(finv), k = 1/f' and h*k, built once per pair ----
+
+CORE_CACHES = (sequences.pair_finv, sequences.pair_prefactor, sequences.pair_ladder)
+
+
+def custom_pairs(order):
+    x = TruncatedSeries.x(order)
+    return (
+        ShefferPair(x - x * x.scale(F(1, 3)), (TruncatedSeries.one(order) + x).reciprocal()),
+        ShefferPair(exp_series(x.scale(2)) - 1, exp_series(x * x.scale(F(-1, 5)))),
+    )
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_cached_sequence_equals_the_uncached_build(monkeypatch):
+    order = 12
+    pairs = [family(label, order).pair for label in FAMILY_LABELS] + list(custom_pairs(order))
+    degrees = (0, 1, order // 2, order)
+    cached = {}
+    for pair in pairs:
+        for n in degrees:
+            sequence_via_egf(pair, n)  # the second call below reads the filled cache
+            cached[pair, n] = sequence_via_egf(pair, n)
+    assert all(cache.cache_info().hits for cache in CORE_CACHES[:2])
+    monkeypatch.setattr(sequences, "pair_finv", sequences.pair_finv.__wrapped__)
+    monkeypatch.setattr(sequences, "pair_prefactor", sequences.pair_prefactor.__wrapped__)
+    monkeypatch.setattr(sequences, "pair_ladder", sequences.pair_ladder.__wrapped__)
+    for pair in pairs:
+        for n in degrees:
+            assert sequence_via_egf(pair, n) == cached[pair, n]
+        assert build_M(pair, order - 1) == _uncached_build_m(pair, order - 1)
+
+
+def _uncached_build_m(pair, k_order):
+    # reference: the raising operator built from f and g, without the cached ladder
+    k_ser = pair.f.derivative().reciprocal().truncate(k_order)
+    h_ser = (pair.g.derivative() * pair.g.reciprocal()).truncate(k_order)
+    x_part = WeylElement.x() * WeylElement.from_series(k_ser, "d")
+    return x_part - WeylElement.from_series((h_ser * k_ser).truncate(k_order), "d")
+
+
+@pytest.mark.parametrize("label", ("laguerre", "hahn", "idempotent"))
+def test_heat_and_theta_pi_invert_each_pair_once(label, monkeypatch):
+    pair = family(label, 16).pair
+    for cache in CORE_CACHES:
+        cache.cache_clear()
+    calls = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
+    assert rows_pass(heat_rows(label))
+    assert rows_pass(theta_pi_rows(label))
+    assert calls == [(pair.f,)]
+
+
+def test_normal_order_rhs_builds_no_prefactor(monkeypatch):
+    pair = family("hahn", 16).pair
+    for cache in CORE_CACHES:
+        cache.cache_clear()
+    composed = _count_calls(monkeypatch, TruncatedSeries, "compose")
+    normal_order_rhs(pair, 4, 6)
+    assert composed == []
+    assert sequences.pair_prefactor.cache_info().currsize == 0
+    assert sequences.pair_finv.cache_info().currsize == 1
+
+
+def test_ladder_series_when_f_has_the_higher_order():
+    # k = 1/f' has order f.order - 1, past what g supports; both ladder
+    # series stop at pair.order - 1, so the Fock image of M can be built
+    f = TruncatedSeries.from_coeffs([0, 1, 1], 12)
+    pair = ShefferPair(f, TruncatedSeries.from_coeffs([1, 1], 10))
+    k_ser, hk_ser = sequences.pair_ladder(pair)
+    assert k_ser.order == hk_ser.order == pair.order - 1
+    assert build_M(pair, 9) == _uncached_build_m(pair, 9)
+    assert compile_pair(pair).m_image(FockSpace(8)).shape == (8, 8)
+
+
+def test_core_caches_are_bounded():
+    for cache in CORE_CACHES:
+        assert cache.cache_info().maxsize == 256
+    # more distinct pairs than the bound: the cache keeps at most maxsize
+    for shift in range(300):
+        pair = ShefferPair(
+            TruncatedSeries.from_coeffs([0, 1, F(shift, 7)], 2), TruncatedSeries.one(2)
+        )
+        sequence_via_egf(pair, 2)
+    assert sequences.pair_finv.cache_info().currsize == 256
+
+
+NEGATIVE_DEGREE_CALLS = {
+    "sequence_via_egf": lambda pair: sequence_via_egf(pair, -1),
+    "sequence_via_raising": lambda pair: sequence_via_raising(pair, -1),
+    "build_M": lambda pair: build_M(pair, -1),
+    "build_P": lambda pair: build_P(pair, -1),
+    "umbral_S": lambda pair: umbral_S(pair, -1),
+    "heat_check": lambda pair: heat_check(pair, -2),
+    "theta_pi_check": lambda pair: theta_pi_check(pair, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_DEGREE_CALLS))
+def test_negative_degrees_raise_before_the_core_is_built(name):
+    pair = custom_pairs(9)[0]
+    for cache in CORE_CACHES:
+        cache.cache_clear()
+    with pytest.raises(IndexOutOfRange):
+        NEGATIVE_DEGREE_CALLS[name](pair)
+    assert all(cache.cache_info().currsize == 0 for cache in CORE_CACHES)
