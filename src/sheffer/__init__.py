@@ -23,8 +23,8 @@ from .errors import (
 )
 from .series import (
     BivariatePolynomial,
-    GaussianRational,
     Polynomial,
+    SparseTerms,
     TruncatedSeries,
     arctan_series,
     cos_series,
@@ -34,7 +34,7 @@ from .series import (
     sqrt_series,
     tan_series,
 )
-from .weyl import OperatorSeries, WeylElement, commutator, op_exp, weyl_mul
+from .weyl import WeylElement, weyl_mul
 from .sequences import (
     ShefferPair,
     ShefferSequence,
@@ -51,7 +51,6 @@ from .normord import (
     CoherentParams,
     FockSpace,
     NormallyOrderedSeries,
-    conjugate_normal_form,
     exp_element_coherent,
     exp_element_coherent_closed,
     exp_element_state,

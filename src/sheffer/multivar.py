@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import OrderExceeded
-from .series import BivariatePolynomial, Polynomial, TruncatedSeries
+from .series import BivariatePolynomial, Polynomial, SparseTerms, TruncatedSeries
 from .sequences import ShefferPair, _check_degree, build_M, build_P, sequence_via_egf
 from .weyl import WeylElement, weyl_mul
 
@@ -29,23 +29,11 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 
 
-class BivarOperator:
+class BivarOperator(SparseTerms):
     """Span of monomials X_x^i D_x^j X_y^k D_y^l; x-ops commute with y-ops."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for key, value in terms.items():
-                c = Fraction(value)
-                if c:
-                    clean[tuple(int(v) for v in key)] = c
-        self.terms = clean
-
-    @staticmethod
-    def identity() -> "BivarOperator":
-        return BivarOperator({(0, 0, 0, 0): 1})
+    __slots__ = ()
+    names = ("X_x", "D_x", "X_y", "D_y")
 
     @staticmethod
     def in_x(w: WeylElement) -> "BivarOperator":
@@ -54,28 +42,6 @@ class BivarOperator:
     @staticmethod
     def in_y(w: WeylElement) -> "BivarOperator":
         return BivarOperator({(0, 0, i, j): c for (i, j), c in w.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            s = out.get(key, _ZERO) + value
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return BivarOperator(out)
-
-    def __neg__(self):
-        return BivarOperator({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor) -> "BivarOperator":
-        c = Fraction(factor)
-        if not c:
-            return BivarOperator()
-        return BivarOperator({k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, BivarOperator):

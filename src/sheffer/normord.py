@@ -53,13 +53,12 @@ from .errors import (
     OrderExceeded,
 )
 from .series import (
-    GR_ZERO,
-    GaussianRational,
     Polynomial,
     _common_denominator,
     _iconv,
     _kcompose,
     _kinverse,
+    _kmul,
     _krecip,
 )
 from .sequences import (
@@ -303,10 +302,6 @@ def exp_element_state_operator(
     return compile_pair(pair).exp_element_state_operator(lam, zstar, l, guard)
 
 
-def _shift_gaussian(coeffs, t: GaussianRational):
-    return taylor_shift([GaussianRational.of(c) for c in coeffs], t, GR_ZERO)
-
-
 def exp_element_coherent(
     pair: ShefferPair,
     z: complex,
@@ -318,30 +313,32 @@ def exp_element_coherent(
 ) -> complex:
     """<z|exp(lam*M)|z'> including the overlap factor, via recentred series.
 
-    The pair is recentred at z' exactly over Gaussian rationals
-    (f~(x) = f(x+z') - f(z'), g~(x) = g(x+z')/g(z'): constant terms land on
-    0 and 1 exactly, no cancellation); the series inversion then runs in
-    complex floating point. At z' = 0 the recentring is a no-op and the
-    call evaluates the vacuum element path itself, so the reduction is
-    exact. Truncation accuracy degrades as |z'| approaches the series'
-    convergence radius; z_guard is the caller's trust bound for that.
+    The pair is recentred at z' by a Taylor shift in complex floating point
+    (f~(x) = f(x+z') - f(z'), g~(x) = g(x+z')/g(z'): the constant term of
+    f~ is set to 0 rather than computed, and g~ is divided by its own
+    constant term); each term of the shift is an exact rational
+    c_m C(m, k) rounded once before it meets the power of z'. The series
+    inversion then runs in complex floating point too. At z' = 0 the
+    recentring is a no-op and the call evaluates the vacuum element path
+    itself, so the reduction is exact. Truncation accuracy degrades as
+    |z'| approaches the series' convergence radius; z_guard is the
+    caller's trust bound for that.
     """
     check_coherent_guards(zp, lam, z_guard, lam_guard)
     zp = complex(zp)
     if zp == 0:
         return exp_element_vac(pair, lam, z.conjugate(), guard=lam_guard) * overlap(z, zp)
-    t = GaussianRational.from_complex(zp)
-    f_sh = _shift_gaussian(pair.f.coeffs, t)
-    f_sh[0] = GR_ZERO
+    f_sh = taylor_shift(pair.f.coeffs, zp, 0j)
+    f_sh[0] = 0j
     if not f_sh[1]:
         raise NotInvertible("f'(z') vanishes; recentred pair is not invertible")
-    g_sh = _shift_gaussian(pair.g.coeffs, t)
+    g_sh = taylor_shift(pair.g.coeffs, zp, 0j)
     if not g_sh[0]:
         raise GuardExceeded("g(z') = 0; recentred pair is not admissible")
     g0 = g_sh[0]
     order = min(len(f_sh), len(g_sh)) - 1
-    fc = [c.to_complex() for c in f_sh[: order + 1]]
-    gc = [(c / g0).to_complex() for c in g_sh[: order + 1]]
+    fc = f_sh[: order + 1]
+    gc = [c / g0 for c in g_sh[: order + 1]]
     h = _kinverse(fc, order, 0j, 1 + 0j)
     gh = _kcompose(gc, h, order, 0j)
     r = _krecip(gh, order, 0j, 1 + 0j)
@@ -404,20 +401,6 @@ class _Bivar:
         out.grid[row][col] = out.grid[row][col] + c
         return out
 
-    def __add__(self, other):
-        out = self.copy()
-        for p in range(self.k + 1):
-            for q in range(self.j + 1):
-                out.grid[p][q] = out.grid[p][q] + other.grid[p][q]
-        return out
-
-    def __sub__(self, other):
-        out = self.copy()
-        for p in range(self.k + 1):
-            for q in range(self.j + 1):
-                out.grid[p][q] = out.grid[p][q] - other.grid[p][q]
-        return out
-
     def _int_rows(self):
         # integer numerator rows over one common denominator
         nums, den = _common_denominator([c for row in self.grid for c in row])
@@ -439,36 +422,19 @@ class _Bivar:
         grid = [[Fraction(s, den) if s else _ZERO for s in row] for row in acc]
         return _Bivar(grid, self.k, self.j)
 
-    def scale(self, factor):
-        out = self.copy()
-        for p in range(self.k + 1):
-            for q in range(self.j + 1):
-                out.grid[p][q] = out.grid[p][q] * factor
-        return out
-
     def reciprocal(self):
-        a00 = self.grid[0][0]
-        if not a00:
+        """Row by row on the series kernels: B_0 = 1/A_0 and
+        B_p = -B_0 * sum_{r=1..p} A_r B_{p-r}, each row a series in a."""
+        if not self.grid[0][0]:
             raise ZeroDivisionError("bivariate reciprocal needs nonzero constant cell")
-        inv0 = _ONE / a00
-        out = _Bivar.zeros(self.k, self.j)
-        out.grid[0][0] = inv0
-        for p in range(self.k + 1):
-            for q in range(self.j + 1):
-                if p == 0 and q == 0:
-                    continue
-                acc = _ZERO
-                for p1 in range(p + 1):
-                    for q1 in range(q + 1):
-                        if p1 == p and q1 == q:
-                            continue
-                        b = out.grid[p1][q1]
-                        if b:
-                            a = self.grid[p - p1][q - q1]
-                            if a:
-                                acc = acc + a * b
-                out.grid[p][q] = -(acc * inv0)
-        return out
+        j = self.j
+        rows = [_krecip(self.grid[0], j, _ZERO, _ONE)]
+        for p in range(1, self.k + 1):
+            acc = [_ZERO] * (j + 1)
+            for r in range(1, p + 1):
+                acc = list(map(add, acc, _kmul(self.grid[r], rows[p - r], j, _ZERO)))
+            rows.append([-c for c in _kmul(rows[0], acc, j, _ZERO)])
+        return _Bivar(rows, self.k, j)
 
 
 def _bivar_compose(outer_coeffs, t: _Bivar) -> _Bivar:
@@ -546,10 +512,6 @@ class NormallyOrderedSeries:
             f"NormallyOrderedSeries({len(self.terms)} terms, "
             f"lam_order={self.lam_order}, a_order={self.a_order})"
         )
-
-
-def conjugate_normal_form(series: NormallyOrderedSeries) -> NormallyOrderedSeries:
-    return series.conjugate()
 
 
 def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> NormallyOrderedSeries:

@@ -205,7 +205,12 @@ def verify_monomiality(pair: ShefferPair, n_max: int) -> list:
 
 
 def taylor_shift(coeffs, t, zero):
-    """Shifted coefficient list for p(x + t); field-generic and exact."""
+    """Shifted coefficient list for p(x + t); field-generic.
+
+    Exact over `Fraction`. Over complex each coefficient is a rounded sum,
+    taken from the highest power down: inside the radius of convergence
+    those terms are the smallest, and adding them first rounds less.
+    """
     n = len(coeffs) - 1
     powers = [zero + 1]
     for _ in range(n):
@@ -213,7 +218,7 @@ def taylor_shift(coeffs, t, zero):
     out = []
     for k in range(n + 1):
         acc = zero
-        for m in range(k, n + 1):
+        for m in range(n, k - 1, -1):
             if coeffs[m]:
                 acc = acc + coeffs[m] * comb(m, k) * powers[m - k]
         out.append(acc)

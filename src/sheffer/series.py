@@ -16,6 +16,10 @@ common denominator, products are summed as integers, and one `Fraction`
 (composition, compositional inverse, log, tan, arctan) inherits that. The
 reciprocal sums integers the same way, with its outputs kept over a
 running common denominator.
+
+`SparseTerms` is the one linear structure of the exponent-keyed sums of
+monomials: bivariate polynomials here, Weyl-algebra elements in ``weyl``
+and two-variable operators in ``multivar`` subclass it.
 """
 
 from __future__ import annotations
@@ -221,89 +225,6 @@ def _karctan(a, n, zero, one):
     for k in range(1, n + 1):
         out[k] = q[k - 1] / k
     return out
-
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals: the exact coefficient field for complex-parameter work
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussianRational:
-    """Complex number with exact rational real and imaginary parts.
-
-    Used where a complex parameter (a coherent-state label) must flow
-    through exact series algebra without rounding; every Python float is a
-    dyadic rational, so `from_complex` is lossless.
-    """
-
-    re: Fraction
-    im: Fraction
-
-    @staticmethod
-    def from_complex(z: complex) -> "GaussianRational":
-        return GaussianRational(Fraction(z.real), Fraction(z.imag))
-
-    @staticmethod
-    def of(value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(as_fraction(value), Fraction(0))
-        if isinstance(value, complex):
-            return GaussianRational.from_complex(value)
-        if isinstance(value, float):
-            return GaussianRational(Fraction(value), Fraction(0))
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
-
-    def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
-
-    def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        norm = o.re * o.re + o.im * o.im
-        if not norm:
-            raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))
-GR_ONE = GaussianRational(Fraction(1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +541,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero() or other.is_zero():
-                return Polynomial(())
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Polynomial.from_coeffs(out)
+            a, b = self.coeffs, other.coeffs
+            return Polynomial.from_coeffs(_kmul(a, b, len(a) + len(b) - 2, _ZERO))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -646,16 +559,11 @@ class Polynomial:
         )
 
     def __call__(self, value):
-        """Horner evaluation; works for Fraction, complex and GaussianRational."""
+        """Horner evaluation at a Fraction (exact) or a complex point."""
         acc = value * 0
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def to_series(self, order: int) -> TruncatedSeries:
-        if self.degree > order:
-            raise OrderExceeded(f"degree {self.degree} exceeds order {order}")
-        return TruncatedSeries.from_coeffs(self.coeffs, order)
 
     def __str__(self):
         if not self.coeffs:
@@ -679,18 +587,21 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials (sparse)
+# sparse sums of monomials
 # ---------------------------------------------------------------------------
 
 
-class BivariatePolynomial:
-    """Sparse polynomial in two variables with exact rational coefficients.
+class SparseTerms:
+    """Finite sum of monomials: a map from exponent tuples to nonzero rationals.
 
-    Stored as a map (i, j) -> coefficient of x^i y^j; zero coefficients are
-    never kept.
+    ``terms[key]`` is the coefficient of the monomial whose exponents are
+    ``key``, one per variable in ``names``; zero coefficients are never
+    kept. This class holds the linear structure; subclasses name the
+    variables and add their own product, action and constructors.
     """
 
     __slots__ = ("terms",)
+    names: tuple = ()
 
     def __init__(self, terms: dict | None = None):
         clean = {}
@@ -698,37 +609,21 @@ class BivariatePolynomial:
             for key, value in terms.items():
                 c = as_fraction(value)
                 if c:
-                    clean[(int(key[0]), int(key[1]))] = c
+                    clean[tuple(map(int, key))] = c
         self.terms = clean
 
-    @staticmethod
-    def zero() -> "BivariatePolynomial":
-        return BivariatePolynomial()
-
-    @staticmethod
-    def monomial(i: int, j: int, coeff: RationalLike = 1) -> "BivariatePolynomial":
-        return BivariatePolynomial({(i, j): coeff})
-
-    @staticmethod
-    def from_x_poly(p: Polynomial) -> "BivariatePolynomial":
-        return BivariatePolynomial({(k, 0): c for k, c in enumerate(p.coeffs)})
-
-    @staticmethod
-    def from_y_poly(p: Polynomial) -> "BivariatePolynomial":
-        return BivariatePolynomial({(0, k): c for k, c in enumerate(p.coeffs)})
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), _ZERO)
+    @classmethod
+    def zero(cls):
+        return cls()
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=-1)
+    def coefficient(self, *key: int) -> Fraction:
+        return self.terms.get(key, _ZERO)
 
     def __eq__(self, other):
-        return isinstance(other, BivariatePolynomial) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -741,13 +636,55 @@ class BivariatePolynomial:
                 out[key] = s
             else:
                 out.pop(key, None)
-        return BivariatePolynomial(out)
+        return type(self)(out)
 
     def __neg__(self):
-        return BivariatePolynomial({k: -v for k, v in self.terms.items()})
+        return type(self)({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
+
+    def scale(self, factor: RationalLike):
+        c = as_fraction(factor)
+        if not c:
+            return type(self)()
+        return type(self)({k: c * v for k, v in self.terms.items()})
+
+    def __str__(self):
+        """Terms by total degree, then by exponents: ``-1/2 + x - 3*x^2*y``."""
+        if not self.terms:
+            return "0"
+        parts = []
+        for key in sorted(self.terms, key=lambda k: (sum(k), k)):
+            c = self.terms[key]
+            body = [
+                name if power == 1 else f"{name}^{power}"
+                for name, power in zip(self.names, key)
+                if power
+            ]
+            mag = abs(c)
+            if mag != 1 or not body:
+                body.insert(0, str(mag))
+            term = "*".join(body)
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class BivariatePolynomial(SparseTerms):
+    """Sparse polynomial in two variables: (i, j) -> coefficient of x^i y^j."""
+
+    __slots__ = ()
+    names = ("x", "y")
+
+    @staticmethod
+    def monomial(i: int, j: int, coeff: RationalLike = 1) -> "BivariatePolynomial":
+        return BivariatePolynomial({(i, j): coeff})
 
     def __mul__(self, other):
         if isinstance(other, BivariatePolynomial):
@@ -761,12 +698,6 @@ class BivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, factor: RationalLike) -> "BivariatePolynomial":
-        c = as_fraction(factor)
-        if not c:
-            return BivariatePolynomial()
-        return BivariatePolynomial({k: c * v for k, v in self.terms.items()})
-
     def derivative(self, variable: str) -> "BivariatePolynomial":
         out: dict = {}
         for (i, j), c in self.terms.items():
@@ -775,33 +706,3 @@ class BivariatePolynomial:
             elif variable == "y" and j > 0:
                 out[(i, j - 1)] = out.get((i, j - 1), _ZERO) + c * j
         return BivariatePolynomial(out)
-
-    def eval(self, x, y):
-        acc = x * 0
-        for (i, j), c in self.terms.items():
-            acc = acc + c * x**i * y**j
-        return acc
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0])):
-            c = self.terms[(i, j)]
-            body = []
-            if i:
-                body.append("x" if i == 1 else f"x^{i}")
-            if j:
-                body.append("y" if j == 1 else f"y^{j}")
-            mag = abs(c)
-            if mag != 1 or not body:
-                body.insert(0, str(mag))
-            term = "*".join(body)
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"BivariatePolynomial({self.terms!r})"

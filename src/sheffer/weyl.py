@@ -8,41 +8,25 @@ the differential-operator picture and the boson picture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .errors import OrderExceeded
 from .series import (
     Polynomial,
     RationalLike,
+    SparseTerms,
     TruncatedSeries,
     _common_denominator,
-    as_fraction,
 )
 
-_ZERO = Fraction(0)
 
-
-class WeylElement:
+class WeylElement(SparseTerms):
     """Finite rational combination of normally ordered monomials X^i D^j."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for (i, j), value in terms.items():
-                c = as_fraction(value)
-                if c:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
+    __slots__ = ()
+    names = ("X", "D")
 
     # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "WeylElement":
-        return WeylElement()
 
     @staticmethod
     def identity() -> "WeylElement":
@@ -73,51 +57,9 @@ class WeylElement:
             return WeylElement({(k, 0): c for k, c in enumerate(series.coeffs)})
         raise ValueError(f"mode must be 'd' or 'x', got {mode!r}")
 
-    # -- queries ---------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), _ZERO)
-
     @property
     def x_degree(self) -> int:
         return max((i for i, _ in self.terms), default=-1)
-
-    @property
-    def d_degree(self) -> int:
-        return max((j for _, j in self.terms), default=-1)
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    # -- linear structure --------------------------------------------------------
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, value in other.terms.items():
-            s = out.get(key, _ZERO) + value
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return WeylElement(out)
-
-    def __neg__(self):
-        return WeylElement({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor: RationalLike) -> "WeylElement":
-        c = as_fraction(factor)
-        if not c:
-            return WeylElement()
-        return WeylElement({k: c * v for k, v in self.terms.items()})
 
     # -- multiplication ------------------------------------------------------------
 
@@ -165,30 +107,6 @@ class WeylElement:
             for (i, j) in sorted(self.terms)
         ]
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0])):
-            c = self.terms[(i, j)]
-            body = []
-            if i:
-                body.append("X" if i == 1 else f"X^{i}")
-            if j:
-                body.append("D" if j == 1 else f"D^{j}")
-            mag = abs(c)
-            if mag != 1 or not body:
-                body.insert(0, str(mag))
-            term = "*".join(body)
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-    def __repr__(self):
-        return f"WeylElement({self.terms!r})"
-
 
 def weyl_mul(u: WeylElement, v: WeylElement) -> WeylElement:
     """Product in normal form.
@@ -215,34 +133,3 @@ def weyl_mul(u: WeylElement, v: WeylElement) -> WeylElement:
                     out.pop(key, None)
     den = ud * vd
     return WeylElement({key: Fraction(s, den) for key, s in out.items()})
-
-
-def commutator(u: WeylElement, v: WeylElement) -> WeylElement:
-    return u.commutator(v)
-
-
-@dataclass(frozen=True)
-class OperatorSeries:
-    """Series in a formal parameter whose coefficients are Weyl elements."""
-
-    coeffs: tuple
-    order: int
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("coefficient count must equal order + 1")
-
-    def coefficient(self, k: int) -> WeylElement:
-        if not 0 <= k <= self.order:
-            raise OrderExceeded(f"index {k} outside 0..{self.order}")
-        return self.coeffs[k]
-
-
-def op_exp(m: WeylElement, k_order: int) -> OperatorSeries:
-    """exp(t*M) as an OperatorSeries in t: coefficient n is M^n / n!."""
-    coeffs = [WeylElement.identity()]
-    power = WeylElement.identity()
-    for n in range(1, k_order + 1):
-        power = weyl_mul(power, m)
-        coeffs.append(power.scale(Fraction(1, factorial(n))))
-    return OperatorSeries(tuple(coeffs), k_order)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -373,3 +374,24 @@ def test_matrix_element_fock_check(capsys):
     payload = json.loads(out)
     assert payload["fock"]["pass"] is True
     assert payload["fock"]["max_rel_err"] <= 1e-8
+
+
+# stdout sha256 of commands whose bytes must not change when the code is
+# reorganised; recorded before the sparse-container refactor
+GOLDEN_STDOUT = {
+    ("gen", "--family", "hahn", "--n", "12", "--coeffs"):
+        "e3f172e815aa5847e2f95a2155e7431a551bba1847ff41a6ce88922c4013a496",
+    ("normal-order", "--family", "bell", "--lambda-order", "4", "--a-order", "6"):
+        "879e11be9de90f3e1e074b247bf02241223afcd321ce478c110af7519dab99b9",
+    ("verify", "heat", "--family", "laguerre"):
+        "540a128b55e856d775c901f00e172d3147a59d5223badbf4f01c6c8e72a7d89c",
+    ("verify", "hkdf", "--family", "bessel"):
+        "aba62b97c5b53543619f3458ceeb8dcd5292326dbabf5801a0f90561431a823b",
+}
+
+
+@pytest.mark.parametrize("argv", GOLDEN_STDOUT, ids=" ".join)
+def test_stdout_bytes_are_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]

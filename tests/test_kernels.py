@@ -4,6 +4,8 @@ Each reference below is the straightforward loop that builds and reduces a
 `Fraction` per multiply-add term. The kernels must agree with it exactly
 (``==``), including dict key order for Weyl products, on zero, negative and
 large-denominator coefficients and on operands shorter than the truncation.
+The per-class printers that the shared sparse-terms printer replaced are
+kept here too, and must give the same text.
 """
 
 from fractions import Fraction as F
@@ -11,10 +13,11 @@ from math import comb, factorial
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import conftest as strat
 from sheffer import (
+    BivariatePolynomial,
     IndexOutOfRange,
     Polynomial,
     ShefferSequence,
@@ -23,6 +26,7 @@ from sheffer import (
     family,
     weyl_mul,
 )
+from sheffer.multivar import BivarOperator
 from sheffer.normord import _Bivar
 from sheffer.sequences import build_M, sequence_via_egf
 from sheffer.series import _kcompose, _kinverse, _kmul, _krecip
@@ -122,6 +126,64 @@ def ref_bivar_mul(x, y):
     return out
 
 
+def ref_poly_mul(p, q):
+    if p.is_zero() or q.is_zero():
+        return Polynomial(())
+    out = [_ZERO] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        if not a:
+            continue
+        for j, b in enumerate(q.coeffs):
+            if b:
+                out[i + j] += a * b
+    return Polynomial.from_coeffs(out)
+
+
+def ref_bivar_reciprocal(x):
+    inv0 = F(1) / x.grid[0][0]
+    out = _Bivar.zeros(x.k, x.j)
+    out.grid[0][0] = inv0
+    for p in range(x.k + 1):
+        for q in range(x.j + 1):
+            if p == 0 and q == 0:
+                continue
+            acc = _ZERO
+            for p1 in range(p + 1):
+                for q1 in range(q + 1):
+                    if p1 == p and q1 == q:
+                        continue
+                    b = out.grid[p1][q1]
+                    if b:
+                        a = x.grid[p - p1][q - q1]
+                        if a:
+                            acc = acc + a * b
+            out.grid[p][q] = -(acc * inv0)
+    return out
+
+
+def ref_sparse_str(terms, x_name, y_name):
+    # WeylElement.__str__ (X, D) and BivariatePolynomial.__str__ (x, y)
+    if not terms:
+        return "0"
+    parts = []
+    for (i, j) in sorted(terms, key=lambda k: (k[0] + k[1], k[0])):
+        c = terms[(i, j)]
+        body = []
+        if i:
+            body.append(x_name if i == 1 else f"{x_name}^{i}")
+        if j:
+            body.append(y_name if j == 1 else f"{y_name}^{j}")
+        mag = abs(c)
+        if mag != 1 or not body:
+            body.insert(0, str(mag))
+        term = "*".join(body)
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
 def ref_sequence_via_egf(pair, n_max):
     h = pair.f.comp_inverse()
     prefactor = pair.g.compose(h).reciprocal()
@@ -208,6 +270,23 @@ def test_series_product_matches_fraction_loop(a, b, n):
     sa = TruncatedSeries.from_coeffs(a, n)
     sb = TruncatedSeries.from_coeffs(b, n)
     assert (sa * sb).coeffs == tuple(ref_kmul(list(sa.coeffs), list(sb.coeffs), n, _ZERO))
+
+
+# untrimmed coefficient tuples: the product's trailing zeros must be trimmed
+raw_polynomials = st.lists(coefficients, max_size=8).map(lambda cs: Polynomial(tuple(cs)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_polynomials, raw_polynomials)
+@example(Polynomial.zero(), Polynomial.from_coeffs([F(-3, 2**100 + 1)]))
+@example(Polynomial.from_coeffs([5]), Polynomial.from_coeffs([F(1, 3), 0, 2]))
+# (x^2 + x) - x^2: the leading terms cancel before the product
+@example(Polynomial.from_coeffs([0, 1, 1]) - Polynomial.monomial(2), Polynomial.x())
+def test_polynomial_product_matches_fraction_loop(p, q):
+    got = p * q
+    assert got == ref_poly_mul(p, q)
+    assert all(type(c) is F for c in got.coeffs)
+    assert not got.coeffs or got.coeffs[-1]
 
 
 # -- the complex field keeps the generic loop --------------------------------------
@@ -347,6 +426,51 @@ def bivar_pairs(draw):
 def test_bivar_mul_matches_fraction_loop(xy):
     x, y = xy
     assert (x * y).grid == ref_bivar_mul(x, y).grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(bivar_pairs().filter(lambda xy: xy[0].grid[0][0]))
+def test_bivar_reciprocal_matches_fraction_loop(xy):
+    x, _ = xy
+    got = x.reciprocal()
+    assert got.grid == ref_bivar_reciprocal(x).grid
+    assert all(type(c) is F for row in got.grid for c in row)
+
+
+def test_bivar_reciprocal_needs_a_constant_cell():
+    with pytest.raises(ZeroDivisionError):
+        _Bivar([[_ZERO, F(1)], [F(2), F(3)]], 1, 1).reciprocal()
+
+
+# -- printing sums of monomials ----------------------------------------------------
+
+# unit and zero coefficients on top of the general ones: a zero drops its
+# monomial, so the constant term (and the whole element) can be missing
+print_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.one_of(st.sampled_from([F(1), F(-1), _ZERO]), coefficients),
+    max_size=7,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(print_terms)
+@example({})
+@example({(0, 0): F(-1), (1, 0): F(1), (0, 1): F(-1), (2, 1): F(-5, 3)})
+@example({(0, 0): _ZERO, (1, 1): F(-1)})
+def test_sparse_printer_matches_the_per_class_printers(terms):
+    w = WeylElement(terms)
+    b = BivariatePolynomial(terms)
+    assert str(w) == ref_sparse_str(w.terms, "X", "D")
+    assert str(b) == ref_sparse_str(b.terms, "x", "y")
+    assert repr(w) == f"WeylElement({w.terms!r})"
+    assert repr(b) == f"BivariatePolynomial({b.terms!r})"
+
+
+def test_bivar_operator_prints_its_four_variables():
+    op = BivarOperator({(1, 0, 0, 0): 1, (0, 2, 1, 0): F(-3, 2), (0, 0, 0, 0): -1})
+    assert str(op) == "-1 + X_x - 3/2*D_x^2*X_y"
+    assert str(BivarOperator()) == "0"
 
 
 # -- generating-function sequences -------------------------------------------------

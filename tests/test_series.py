@@ -7,18 +7,20 @@ from hypothesis import given, settings
 import conftest as strat
 from sheffer import (
     BadConstantTerm,
-    GaussianRational,
+    BivariatePolynomial,
     GuardExceeded,
     NonzeroInnerConstant,
     NotInvertible,
     Polynomial,
     TruncatedSeries,
+    WeylElement,
     ZeroConstantTerm,
     exp_series,
     log_series,
     sqrt_series,
     tan_series,
 )
+from sheffer.multivar import BivarOperator
 
 
 def S(coeffs, order=None):
@@ -201,19 +203,18 @@ def test_polynomial_padded_row():
         p.padded(2)
 
 
-# -- Gaussian rationals -------------------------------------------------------
+# -- sparse sums of monomials ------------------------------------------------------
 
 
-def test_gaussian_rational_field_ops():
-    a = GaussianRational(F(1, 2), F(-3))
-    b = GaussianRational(F(2), F(1, 5))
-    assert (a * b) / b == a
-    assert (a / b) * b == a
-    assert a + (-a) == GaussianRational(F(0), F(0))
-    assert a.conjugate().conjugate() == a
-
-
-def test_gaussian_rational_from_complex_is_exact():
-    z = complex(0.3, -0.7)
-    g = GaussianRational.from_complex(z)
-    assert g.to_complex() == z
+def test_sparse_containers_reject_floats():
+    # a float would be stored as its binary expansion, silently inexact
+    for cls, key in (
+        (WeylElement, (0, 1)),
+        (BivariatePolynomial, (0, 1)),
+        (BivarOperator, (0, 1, 0, 0)),
+    ):
+        with pytest.raises(TypeError):
+            cls({key: 0.1})
+        with pytest.raises(TypeError):
+            cls({key: 1}).scale(0.5)
+        assert cls({key: "1/10"}).scale(F(1, 2)) == cls({key: F(1, 20)})

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest as strat
-from sheffer import OrderExceeded, Polynomial, TruncatedSeries, WeylElement, op_exp, weyl_mul
+from sheffer import Polynomial, TruncatedSeries, WeylElement, weyl_mul
 from sheffer.suites import reorder_by_swaps
 
 X = WeylElement.x()
@@ -52,23 +52,6 @@ def test_from_series():
         {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
     )
     assert WeylElement.from_series(TruncatedSeries.zero(3), "d").is_zero()
-
-
-def test_op_exp():
-    zero = op_exp(WeylElement.zero(), 3)
-    assert zero.coefficient(0) == WeylElement.identity()
-    assert all(zero.coefficient(k).is_zero() for k in (1, 2, 3))
-
-    ex = op_exp(X, 2)
-    assert ex.coefficient(1) == X
-    assert ex.coefficient(2) == WeylElement({(2, 0): F(1, 2)})
-
-    hermite = op_exp(X.scale(2) - D, 2)
-    assert hermite.coefficient(2) == WeylElement(
-        {(2, 0): 2, (1, 1): -2, (0, 2): F(1, 2), (0, 0): -1}
-    )
-    with pytest.raises(OrderExceeded):
-        ex.coefficient(3)
 
 
 @pytest.mark.parametrize("m", range(7))
