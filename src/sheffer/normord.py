@@ -6,9 +6,9 @@ computable normally ordered form. This module provides:
 
 * closed-form coherent-state matrix elements of M^n and exp(lambda*M);
 * the normally ordered expansion of exp(lambda*M) built two independent
-  ways: brute-force Weyl reordering (``normal_order_lhs``) and composed
-  bivariate series (``normal_order_rhs``), with exact term-by-term
-  comparison;
+  ways: the operator powers M^n, each the previous one times the X-linear
+  M from the right (``normal_order_lhs``), and composed bivariate series
+  (``normal_order_rhs``), with exact term-by-term comparison;
 * a numeric verifier on truncated Fock-space matrices.
 
 Everything the closed forms and the verifier need from a pair that does not
@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd
 from operator import add
 
 import numpy as np
@@ -70,7 +70,7 @@ from .sequences import (
     sequence_via_egf,
     taylor_shift,
 )
-from .weyl import WeylElement, weyl_mul
+from .weyl import WeylElement
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -322,7 +322,8 @@ def exp_element_coherent(
     recentring is a no-op and the call evaluates the vacuum element path
     itself, so the reduction is exact. Truncation accuracy degrades as
     |z'| approaches the series' convergence radius; z_guard is the
-    caller's trust bound for that.
+    caller's trust bound for that. A value that overflows complex floating
+    point raises GuardExceeded.
     """
     check_coherent_guards(zp, lam, z_guard, lam_guard)
     zp = complex(zp)
@@ -347,7 +348,15 @@ def exp_element_coherent(
     for hk, rk in zip(reversed(h), reversed(r)):
         hv = hv * lam + hk
         rv = rv * lam + rk
-    return rv * cmath.exp(z.conjugate() * hv) * overlap(z, zp)
+    try:
+        value = rv * cmath.exp(z.conjugate() * hv) * overlap(z, zp)
+        if cmath.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise GuardExceeded(
+        f"recentred series at z'={zp}, lam={lam} overflows complex floating point"
+    )
 
 
 def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> complex:
@@ -552,28 +561,60 @@ def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
 def normal_order_lhs(pair: ShefferPair, lam_order: int, a_order: int) -> NormallyOrderedSeries:
     """Brute-force normally ordered form of exp(lam*M).
 
-    Expands sum lam^n M^n / n! with M read as a boson operator and products
-    taken in the Weyl algebra, which lands in normal form automatically.
-    Deliberately independent of the coherent-state route. M is built at
-    D-truncation lam_order + a_order since intermediate powers can shed at
-    most one annihilation power per creation factor.
+    Expands sum lam^n M^n / n! with M read as a boson operator, deliberately
+    independent of the coherent-state route. M = X*k(D) - (h*k)(D) is built
+    once at D-truncation lam_order + a_order and is linear in X, so each
+    power is the previous one times M from the right: first
+    X^i D^j X = X^{i+1} D^j + j X^i D^{j-1}, then a shift of the D-power by
+    each term of k, plus a shift by each term of -h*k. This lands in normal
+    form with no binomials. One factor of M lowers the D-power by at most
+    one, so at step n a monomial with D-power above
+    a_order + lam_order - n can never reach the recorded D-powers
+    (<= a_order); it is skipped inside the loop instead of computed.
+    Numerators are kept as integers over one running common denominator,
+    reduced by their gcd after every factor.
     """
     depth = lam_order + a_order
     m_op = build_M(pair, depth)
+    m_num, m_den = _common_denominator(list(m_op.terms.values()))
+    k_part, d_part = [], []  # (t, numerator) of X*D^t and of D^t, t ascending
+    for (i, t), c in sorted(zip(m_op.terms, m_num)):
+        (k_part if i else d_part).append((t, c))
     terms: dict = {}
 
-    def record(element: WeylElement, n: int):
-        inv_fact = Fraction(1, factorial(n))
-        for (i, j), c in element.terms.items():
+    def record(power: dict, den: int, n: int):
+        den *= factorial(n)
+        for (i, j), c in power.items():
             if j <= a_order:
                 poly = terms.setdefault((i, j), [_ZERO] * (lam_order + 1))
-                poly[n] = poly[n] + c * inv_fact
+                poly[n] = Fraction(c, den)
 
-    power = WeylElement.identity()
-    record(power, 0)
+    power, den = {(0, 0): 1}, 1
+    record(power, den, 0)
     for n in range(1, lam_order + 1):
-        power = weyl_mul(power, m_op).prune_d(a_order + (lam_order - n))
-        record(power, n)
+        cap = depth - n
+        out: dict = {}
+        for (i, j), e in power.items():
+            for t, c in k_part:
+                d = j + t - 1
+                if d > cap:
+                    break
+                if j:
+                    out[(i, d)] = out.get((i, d), 0) + e * j * c
+                if d < cap:
+                    out[(i + 1, d + 1)] = out.get((i + 1, d + 1), 0) + e * c
+            for t, c in d_part:
+                d = j + t
+                if d > cap:
+                    break
+                out[(i, d)] = out.get((i, d), 0) + e * c
+        power = {key: c for key, c in out.items() if c}
+        den *= m_den
+        g = gcd(den, *power.values())
+        if g > 1:
+            power = {key: c // g for key, c in power.items()}
+            den //= g
+        record(power, den, n)
     return NormallyOrderedSeries(terms, lam_order, a_order)
 
 

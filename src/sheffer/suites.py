@@ -9,9 +9,6 @@ documenting findings.
 
 from __future__ import annotations
 
-from collections import Counter
-from fractions import Fraction
-
 import numpy as np
 
 from .catalog import (
@@ -80,37 +77,44 @@ def oracle_rows(label: str, order: int = 16, depth: int = 12) -> list:
 # ---------------------------------------------------------------------------
 
 
-def reorder_by_swaps(m: int, n: int) -> WeylElement:
+def reorder_by_swaps(m: int, n: int, memo: dict | None = None) -> WeylElement:
     """Normal order D^m X^n by repeated single swaps DX -> XD + 1.
 
-    Exponential-time reference kept out of every production path; it
-    exists solely to check the closed-form reordering.
+    A rewriting reference kept out of every production path; it exists
+    solely to check the closed-form reordering. Each step rewrites the
+    leftmost DX of a word into its swapped and its dropped word. The normal
+    form of every word visited is memoised in ``memo`` (word -> {(i, j):
+    int}), so the cost is polynomial in m and n, and callers may share one
+    memo between calls.
     """
-    words = Counter({("D",) * m + ("X",) * n: Fraction(1)})
-    result: dict = {}
-    while words:
-        word, coeff = words.popitem()
-        for idx in range(len(word) - 1):
-            if word[idx] == "D" and word[idx + 1] == "X":
-                swapped = word[:idx] + ("X", "D") + word[idx + 2 :]
-                words[swapped] += coeff
-                dropped = word[:idx] + word[idx + 2 :]
-                words[dropped] += coeff
-                break
+    memo = {} if memo is None else memo
+    return WeylElement(_swap_normal_form("D" * m + "X" * n, memo))
+
+
+def _swap_normal_form(word: str, memo: dict) -> dict:
+    # recursion depth is at most the number of D-before-X pairs, m*n
+    form = memo.get(word)
+    if form is None:
+        idx = word.find("DX")
+        if idx < 0:
+            form = {(word.count("X"), word.count("D")): 1}
         else:
-            key = (word.count("X"), word.count("D"))
-            result[key] = result.get(key, Fraction(0)) + coeff
-    return WeylElement(result)
+            form = dict(_swap_normal_form(word[:idx] + "XD" + word[idx + 2 :], memo))
+            for key, c in _swap_normal_form(word[:idx] + word[idx + 2 :], memo).items():
+                form[key] = form.get(key, 0) + c
+        memo[word] = form
+    return form
 
 
 def swap_oracle_rows(max_m: int = 6, max_n: int = 6) -> list:
     rows = []
+    memo: dict = {}
     for m in range(max_m + 1):
         for n in range(max_n + 1):
             closed = weyl_mul(WeylElement.monomial(0, m), WeylElement.monomial(n, 0))
             rows.append(
                 {"family": "all", "identity": "reorder_closed_vs_swaps",
-                 "m": m, "n": n, "pass": closed == reorder_by_swaps(m, n)}
+                 "m": m, "n": n, "pass": closed == reorder_by_swaps(m, n, memo)}
             )
     return rows
 

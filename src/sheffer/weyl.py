@@ -73,10 +73,6 @@ class WeylElement(SparseTerms):
     def commutator(self, other: "WeylElement") -> "WeylElement":
         return weyl_mul(self, other) - weyl_mul(other, self)
 
-    def prune_d(self, max_d: int) -> "WeylElement":
-        """Drop monomials with D-power above max_d."""
-        return WeylElement({k: v for k, v in self.terms.items() if k[1] <= max_d})
-
     # -- action on polynomials ---------------------------------------------------
 
     def apply(self, p: Polynomial) -> Polynomial:

@@ -387,6 +387,12 @@ GOLDEN_STDOUT = {
         "540a128b55e856d775c901f00e172d3147a59d5223badbf4f01c6c8e72a7d89c",
     ("verify", "hkdf", "--family", "bessel"):
         "aba62b97c5b53543619f3458ceeb8dcd5292326dbabf5801a0f90561431a823b",
+    # recorded before the swap oracle was memoised and normal_order_lhs
+    # became the X-linear right product
+    ("verify", "commutator", "--seed", "7"):
+        "bd747e9b3ae5e3ccfde9d1febf54082f73ff281f773ca6bc2dcf8590347c82da",
+    ("verify", "normal-order", "--family", "idempotent", "--lambda-order", "12", "--a-order", "16"):
+        "531ef5a62aa7abf979ad0dc28cd6fe5439f9598ba0ef42badd78744cc17c4cbe",
 }
 
 

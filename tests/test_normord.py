@@ -4,9 +4,13 @@ from collections import Counter
 from fractions import Fraction as F
 from math import comb, factorial
 
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+
+import conftest as strat
 
 from sheffer import (
     CoherentParams,
@@ -35,11 +39,11 @@ from sheffer import (
     verify_normal_order,
     weyl_mul,
 )
-from sheffer import normord
+from sheffer import normord, sequences, weyl
 from sheffer.catalog import FAMILY_LABELS
 from sheffer.normord import compile_pair
 from sheffer.sequences import build_M, pair_finv, pair_ladder, pair_prefactor, taylor_shift
-from sheffer.suites import coherent_rows, rows_pass
+from sheffer.suites import _disk_draw, coherent_rows, rows_pass
 
 
 # -- closed-form matrix elements ------------------------------------------------
@@ -173,6 +177,28 @@ def test_exp_element_coherent_guards():
         exp_element_coherent(pair, 0.1, 0.9, 0.05, z_guard=0.3)
     with pytest.raises(GuardExceeded):
         exp_element_coherent(pair, 0.1, 0.1, 0.4, lam_guard=0.12)
+
+
+def test_exp_element_coherent_refuses_overflow_inside_the_bell_guards():
+    # seeded draws inside bell's own guard discs: the recentred series
+    # overflows complex floating point on some of them, which must end as a
+    # refusal and never as a raw OverflowError or a non-finite value
+    entry = family("bell", 16)
+    rng = np.random.default_rng(1)
+    refused = 0
+    for _ in range(200):
+        z = _disk_draw(rng, 1.0)
+        zp = _disk_draw(rng, entry.z_guard)
+        lam = _disk_draw(rng, entry.lam_guard)
+        try:
+            value = exp_element_coherent(
+                entry.pair, z, zp, lam, z_guard=entry.z_guard, lam_guard=entry.lam_guard
+            )
+        except GuardExceeded:
+            refused += 1
+        else:
+            assert cmath.isfinite(value)
+    assert refused > 0
 
 
 # -- normally ordered series -----------------------------------------------------
@@ -313,6 +339,65 @@ def test_order_guards():
         normal_order_rhs(pair, 6, 8)
     with pytest.raises(OrderExceeded):
         normal_order_lhs(pair, 6, 8)
+
+
+def ref_normal_order_lhs(pair, lam_order, a_order):
+    """The general-product chain: each power is weyl_mul(power, M), then pruned."""
+    depth = lam_order + a_order
+    m_op = build_M(pair, depth)
+    terms = {}
+
+    def record(element, n):
+        inv_fact = F(1, factorial(n))
+        for (i, j), c in element.terms.items():
+            if j <= a_order:
+                poly = terms.setdefault((i, j), [F(0)] * (lam_order + 1))
+                poly[n] = poly[n] + c * inv_fact
+
+    power = WeylElement.identity()
+    record(power, 0)
+    for n in range(1, lam_order + 1):
+        cap = a_order + (lam_order - n)
+        product = weyl_mul(power, m_op)
+        power = WeylElement({k: c for k, c in product.terms.items() if k[1] <= cap})
+        record(power, n)
+    return NormallyOrderedSeries(terms, lam_order, a_order)
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+@pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 4), (6, 8), (12, 16)], ids=str)
+def test_normal_order_lhs_matches_the_weyl_mul_chain(label, orders):
+    lam_order, a_order = orders
+    pair = family(label, max(16, lam_order + a_order + 1)).pair
+    got = normal_order_lhs(pair, lam_order, a_order)
+    assert got.terms == ref_normal_order_lhs(pair, lam_order, a_order).terms
+
+
+@settings(max_examples=25, deadline=None)
+@given(strat.sheffer_pairs(), st.integers(0, 4), st.integers(0, 5))
+def test_normal_order_lhs_matches_the_weyl_mul_chain_on_random_pairs(pair, lam_order, a_order):
+    got = normal_order_lhs(pair, lam_order, a_order)
+    assert got == ref_normal_order_lhs(pair, lam_order, a_order)
+
+
+@pytest.mark.parametrize("lam_order", (1, 8))
+def test_normal_order_lhs_multiplies_weyl_elements_only_in_build_M(lam_order, monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(normord, "build_M", counted("build_M", build_M))
+    product = weyl.weyl_mul
+    monkeypatch.setattr(weyl, "weyl_mul", counted("weyl_mul", product))
+    for module in (sequences, normord):
+        monkeypatch.setattr(module, "weyl_mul", counted("weyl_mul", product), raising=False)
+    normal_order_lhs(family("idempotent", 16).pair, lam_order, 6)
+    assert counts == {"build_M": 1, "weyl_mul": 1}
 
 
 # -- consistency chain: operator powers against the generating series -----------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -59,6 +60,49 @@ def test_from_series():
 def test_reordering_matches_swap_oracle(m, n):
     closed = weyl_mul(WeylElement.monomial(0, m), WeylElement.monomial(n, 0))
     assert closed == reorder_by_swaps(m, n)
+
+
+def ref_reorder_by_swaps(m, n):
+    """The unmemoised rewriting loop: every word path is walked separately."""
+    words = Counter({("D",) * m + ("X",) * n: F(1)})
+    result = {}
+    while words:
+        word, coeff = words.popitem()
+        for idx in range(len(word) - 1):
+            if word[idx] == "D" and word[idx + 1] == "X":
+                swapped = word[:idx] + ("X", "D") + word[idx + 2 :]
+                words[swapped] += coeff
+                dropped = word[:idx] + word[idx + 2 :]
+                words[dropped] += coeff
+                break
+        else:
+            key = (word.count("X"), word.count("D"))
+            result[key] = result.get(key, F(0)) + coeff
+    return WeylElement(result)
+
+
+def test_memoised_swap_oracle_matches_the_unmemoised_loop():
+    shared = {}
+    for m in range(7):
+        for n in range(7):
+            ref = ref_reorder_by_swaps(m, n)
+            assert reorder_by_swaps(m, n, shared) == ref
+            assert reorder_by_swaps(m, n) == ref
+
+
+def test_memoised_swap_oracle_keeps_integer_coefficients():
+    memo = {}
+    reorder_by_swaps(5, 4, memo)
+    assert "DDDDDXXXX" in memo and "D" in memo
+    assert all(type(c) is int for form in memo.values() for c in form.values())
+
+
+def test_swap_oracle_matches_closed_form_up_to_degree_10():
+    memo = {}
+    for m in range(11):
+        for n in range(11):
+            closed = weyl_mul(WeylElement.monomial(0, m), WeylElement.monomial(n, 0))
+            assert reorder_by_swaps(m, n, memo) == closed
 
 
 _small_weyl = st.dictionaries(
