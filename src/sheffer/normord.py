@@ -7,8 +7,10 @@ computable normally ordered form. This module provides:
 * closed-form coherent-state matrix elements of M^n and exp(lambda*M);
 * the normally ordered expansion of exp(lambda*M) built two independent
   ways: the operator powers M^n, each the previous one times the X-linear
-  M from the right (``normal_order_lhs``), and composed bivariate series
-  (``normal_order_rhs``), with exact term-by-term comparison;
+  M from the right (``normal_order_lhs``), and the pair's finv and
+  prefactor 1/g(finv) evaluated at lambda + f(a) by a Taylor shift over
+  one table of the powers of f(a) (``normal_order_rhs``), with exact
+  term-by-term comparison;
 * a numeric verifier on truncated Fock-space matrices.
 
 Everything the closed forms and the verifier need from a pair that does not
@@ -18,12 +20,13 @@ rounded to complex: finv and 1/g(finv), the sequence s_n, the chains
 M^k x^l from one raising operator at the top usable degree, the exact
 k = 1/f' and h*k with binomial-weighted matrices for their Taylor shift,
 and the image of M for each Fock cutoff. The exact series among these
-(finv, 1/g(finv), k and h*k) are the pair's core from ``sequences``, which
-``normal_order_rhs`` reads too. A verifier draw then runs on
-floating point alone: Horner sums, numpy products, and the recentred image
-of M as one matrix-vector product with the powers of z'. ``FockSpace``
-builds the images of a-series and exp(t*adag) entrywise from the factors
-sqrt((i+m)!/i!) instead of matrix products.
+(finv, 1/g(finv), k and h*k) are the pair's core from ``sequences``;
+``normal_order_rhs`` reads finv and 1/g(finv) from it too, and
+``normal_order_lhs`` reads k and h*k through ``build_M``. A verifier draw
+then runs on floating point alone: Horner sums, numpy products, and the
+recentred image of M as one matrix-vector product with the powers of z'.
+``FockSpace`` builds the images of a-series and exp(t*adag) entrywise from
+the factors sqrt((i+m)!/i!) instead of matrix products.
 
 On the number-state closed forms: the printed rule
 <z|M^n|l> = s_{n+l}(z*)/sqrt(l!) <z|0> is implemented literally by
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
-from operator import add
+from operator import add, mul
 
 import numpy as np
 
@@ -54,15 +57,16 @@ from .errors import (
 )
 from .series import (
     Polynomial,
+    TruncatedSeries,
     _common_denominator,
     _iconv,
     _kcompose,
     _kinverse,
-    _kmul,
     _krecip,
 )
 from .sequences import (
     ShefferPair,
+    _check_degree,
     build_M,
     pair_finv,
     pair_ladder,
@@ -73,7 +77,6 @@ from .sequences import (
 from .weyl import WeylElement
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -375,90 +378,6 @@ def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> 
 
 
 # ---------------------------------------------------------------------------
-# exact bivariate truncated series in (lambda, a)
-# ---------------------------------------------------------------------------
-
-
-class _Bivar:
-    """Series in lambda (rows, order K) with coefficients series in a (cols, order J)."""
-
-    __slots__ = ("grid", "k", "j")
-
-    def __init__(self, grid, k, j):
-        self.grid = grid
-        self.k = k
-        self.j = j
-
-    @staticmethod
-    def zeros(k, j):
-        return _Bivar([[_ZERO] * (j + 1) for _ in range(k + 1)], k, j)
-
-    @staticmethod
-    def from_a_series(coeffs, k, j):
-        out = _Bivar.zeros(k, j)
-        for q, c in enumerate(coeffs[: j + 1]):
-            out.grid[0][q] = c
-        return out
-
-    def copy(self):
-        return _Bivar([row[:] for row in self.grid], self.k, self.j)
-
-    def add_scalar(self, c, row=0, col=0):
-        if row > self.k or col > self.j:
-            return self.copy()  # lands beyond the truncation
-        out = self.copy()
-        out.grid[row][col] = out.grid[row][col] + c
-        return out
-
-    def _int_rows(self):
-        # integer numerator rows over one common denominator
-        nums, den = _common_denominator([c for row in self.grid for c in row])
-        width = self.j + 1
-        return [nums[p * width : (p + 1) * width] for p in range(self.k + 1)], den
-
-    def __mul__(self, other):
-        a_rows, ad = self._int_rows()
-        b_rows, bd = other._int_rows()
-        acc = [[0] * (self.j + 1) for _ in range(self.k + 1)]
-        for p1, arow in enumerate(a_rows):
-            if not any(arow):
-                continue
-            for p2 in range(self.k + 1 - p1):
-                brow = b_rows[p2]
-                if any(brow):
-                    acc[p1 + p2] = list(map(add, acc[p1 + p2], _iconv(arow, brow, self.j)))
-        den = ad * bd
-        grid = [[Fraction(s, den) if s else _ZERO for s in row] for row in acc]
-        return _Bivar(grid, self.k, self.j)
-
-    def reciprocal(self):
-        """Row by row on the series kernels: B_0 = 1/A_0 and
-        B_p = -B_0 * sum_{r=1..p} A_r B_{p-r}, each row a series in a."""
-        if not self.grid[0][0]:
-            raise ZeroDivisionError("bivariate reciprocal needs nonzero constant cell")
-        j = self.j
-        rows = [_krecip(self.grid[0], j, _ZERO, _ONE)]
-        for p in range(1, self.k + 1):
-            acc = [_ZERO] * (j + 1)
-            for r in range(1, p + 1):
-                acc = list(map(add, acc, _kmul(self.grid[r], rows[p - r], j, _ZERO)))
-            rows.append([-c for c in _kmul(rows[0], acc, j, _ZERO)])
-        return _Bivar(rows, self.k, j)
-
-
-def _bivar_compose(outer_coeffs, t: _Bivar) -> _Bivar:
-    # Horner substitution of a bivariate argument with zero constant cell.
-    if t.grid[0][0]:
-        raise ValueError("bivariate composition needs zero constant cell")
-    acc = _Bivar.zeros(t.k, t.j)
-    for c in reversed(outer_coeffs):
-        acc = acc * t
-        if c:
-            acc.grid[0][0] = acc.grid[0][0] + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
 # normally ordered series
 # ---------------------------------------------------------------------------
 
@@ -523,38 +442,89 @@ class NormallyOrderedSeries:
         )
 
 
+def _check_orders(pair: ShefferPair, lam_order: int, a_order: int) -> None:
+    """Both routes need non-negative orders and series order >= their sum."""
+    _check_degree(lam_order, "lam_order")
+    _check_degree(a_order, "a_order")
+    need = lam_order + a_order
+    if pair.order < need:
+        raise OrderExceeded(f"series order {pair.order} < lam_order + a_order = {need}")
+
+
+def _shift_at_fa(series: TruncatedSeries, columns: list, fd_powers: list, lam_order: int):
+    """Rows 0..lam_order in lambda of series(lam + f(a)), over one denominator.
+
+    Row p is sum_m C(m+p, p) s_{m+p} f(a)^m, and f(a)^m vanishes below a^m,
+    so m stops at the a-order J. ``columns[q]`` holds the a^q numerators of
+    f(a)^0..f(a)^q, where f(a)^m sits over fd^m; ``fd_powers`` is fd^0..fd^J,
+    and each weight carries the fd^(J-m) that puts every term over fd^J.
+    """
+    width = len(columns)
+    nums, den = _common_denominator(series.coeffs[: lam_order + width])
+    rows = []
+    for p in range(lam_order + 1):
+        weights = [comb(m + p, p) * nums[m + p] * fd_powers[-1 - m] for m in range(width)]
+        rows.append([sum(map(mul, weights, column)) for column in columns])
+    return rows, den * fd_powers[-1]
+
+
+def _reduced(rows: list, den: int):
+    """Integer rows over den, divided through by their common gcd."""
+    g = gcd(den, *(c for row in rows for c in row))
+    if g > 1:
+        rows = [[c // g for c in row] for row in rows]
+        den //= g
+    return rows, den
+
+
 def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> NormallyOrderedSeries:
     """Composed-series normally ordered form of exp(lam*M).
 
     Builds E(lam, a) = finv(lam + f(a)) - a and
-    R(lam, a) = g(a)/g(finv(lam + f(a))) as exact bivariate truncated
-    series, then expands :exp(adag*E)*R: so the coefficient of adag^i is
-    E^i/i! * R. Requires series order >= lam_order + a_order because mixed
-    terms of the composition reach that depth.
+    R(lam, a) = g(a)/g(finv(lam + f(a))) as exact series truncated at
+    lam^lam_order and a^a_order, then expands :exp(adag*E)*R: so the
+    coefficient of adag^i is E^i/i! * R. No bivariate composition is
+    needed: finv and the prefactor 1/g(finv) are univariate series of the
+    pair's cached core, and each is evaluated at lam + f(a) by a Taylor
+    shift over one table of the powers f(a)^0..f(a)^a_order. Every
+    bivariate series is kept as integer rows in lambda over one common
+    denominator; row 0 of E is zero, since finv(f(a)) = a. Requires series
+    order >= lam_order + a_order because mixed terms of the composition
+    reach that depth.
     """
-    need = lam_order + a_order
-    if pair.order < need:
-        raise OrderExceeded(f"series order {pair.order} < lam_order + a_order = {need}")
-    finv = pair_finv(pair)
-    fa = _Bivar.from_a_series(list(pair.f.coeffs), lam_order, a_order)
-    t = fa.add_scalar(_ONE, row=1, col=0)  # lambda + f(a)
-    composed = _bivar_compose(list(finv.coeffs[: need + 1]), t)
-    e_part = composed.add_scalar(-_ONE, row=0, col=1)  # finv(lam + f(a)) - a
-    g_of_c = _bivar_compose(list(pair.g.coeffs[: need + 1]), composed)
-    r_part = _Bivar.from_a_series(list(pair.g.coeffs), lam_order, a_order) * g_of_c.reciprocal()
+    _check_orders(pair, lam_order, a_order)
+    width = a_order + 1
+    f_nums, fd = _common_denominator(pair.f.coeffs[:width])
+    fd_powers, table = [1], [[1] + [0] * a_order]
+    for _ in range(a_order):
+        fd_powers.append(fd_powers[-1] * fd)
+        table.append(_iconv(table[-1], f_nums, a_order))
+    columns = [[power[q] for power in table[: q + 1]] for q in range(width)]
+
+    e_rows, e_den = _shift_at_fa(pair_finv(pair), columns, fd_powers, lam_order)
+    e_rows[0] = [0] * width
+    e_rows, e_den = _reduced(e_rows, e_den)
+    q_rows, q_den = _shift_at_fa(pair_prefactor(pair), columns, fd_powers, lam_order)
+    g_nums, gd = _common_denominator(pair.g.coeffs[:width])
+    acc, den = _reduced([_iconv(g_nums, row, a_order) for row in q_rows], gd * q_den)
 
     terms: dict = {}
-    acc = r_part
     for i in range(lam_order + 1):
-        inv_fact = Fraction(1, factorial(i))
-        for p in range(lam_order + 1):
-            for q in range(a_order + 1):
-                c = acc.grid[p][q]
+        if i:
+            # acc * E in lambda; acc vanishes below row i - 1 and E at row 0
+            out = [[0] * width for _ in range(lam_order + 1)]
+            for p1 in range(i - 1, lam_order):
+                for p2 in range(1, lam_order + 1 - p1):
+                    out[p1 + p2] = list(
+                        map(add, out[p1 + p2], _iconv(acc[p1], e_rows[p2], a_order))
+                    )
+            acc, den = _reduced(out, den * e_den)
+        scale = den * factorial(i)
+        for p, row in enumerate(acc):
+            for q, c in enumerate(row):
                 if c:
                     poly = terms.setdefault((i, q), [_ZERO] * (lam_order + 1))
-                    poly[p] = poly[p] + c * inv_fact
-        if i < lam_order:
-            acc = acc * e_part
+                    poly[p] = Fraction(c, scale)
     return NormallyOrderedSeries(terms, lam_order, a_order)
 
 
@@ -563,19 +533,23 @@ def normal_order_lhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
 
     Expands sum lam^n M^n / n! with M read as a boson operator, deliberately
     independent of the coherent-state route. M = X*k(D) - (h*k)(D) is built
-    once at D-truncation lam_order + a_order and is linear in X, so each
-    power is the previous one times M from the right: first
-    X^i D^j X = X^{i+1} D^j + j X^i D^{j-1}, then a shift of the D-power by
-    each term of k, plus a shift by each term of -h*k. This lands in normal
-    form with no binomials. One factor of M lowers the D-power by at most
-    one, so at step n a monomial with D-power above
+    once and is linear in X, so each power is the previous one times M from
+    the right: first X^i D^j X = X^{i+1} D^j + j X^i D^{j-1}, then a shift
+    of the D-power by each term of k, plus a shift by each term of -h*k.
+    This lands in normal form with no binomials. One factor of M lowers the
+    D-power by at most one, so at step n a monomial with D-power above
     a_order + lam_order - n can never reach the recorded D-powers
-    (<= a_order); it is skipped inside the loop instead of computed.
-    Numerators are kept as integers over one running common denominator,
-    reduced by their gcd after every factor.
+    (<= a_order); it is skipped inside the loop instead of computed. The
+    same cap never lets a D^(lam_order + a_order) term of M contribute, so
+    M is built at D-truncation lam_order + a_order - 1, and series order
+    lam_order + a_order suffices, as for ``normal_order_rhs``. Numerators
+    are kept as integers over one running common denominator, reduced by
+    their gcd after every factor.
     """
+    _check_orders(pair, lam_order, a_order)
     depth = lam_order + a_order
-    m_op = build_M(pair, depth)
+    # the lambda^0 term needs no M; from lambda^1 on, depth - 1 >= 0
+    m_op = build_M(pair, depth - 1) if lam_order else WeylElement.zero()
     m_num, m_den = _common_denominator(list(m_op.terms.values()))
     k_part, d_part = [], []  # (t, numerator) of X*D^t and of D^t, t ascending
     for (i, t), c in sorted(zip(m_op.terms, m_num)):

@@ -1,4 +1,6 @@
 import cmath
+import hashlib
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import conftest as strat
+from bivar_reference import ref_normal_order_rhs
 
 from sheffer import (
     CoherentParams,
@@ -339,6 +342,56 @@ def test_order_guards():
         normal_order_rhs(pair, 6, 8)
     with pytest.raises(OrderExceeded):
         normal_order_lhs(pair, 6, 8)
+    with pytest.raises(OrderExceeded):
+        normal_order_lhs(pair, 4, 5)
+    # both routes accept series order lam_order + a_order
+    assert rows_pass(verify_normal_order(pair, 3, 5))
+    assert rows_pass(verify_normal_order(pair, 8, 0))
+
+
+NORMAL_ORDERS = [(0, 0), (1, 0), (0, 4), (6, 8), (12, 16), (3, 20), (16, 3)]
+
+
+def _pair_orders(lam_order, a_order):
+    # a roomy order, and the least the routes accept (a pair needs order >= 1)
+    return max(16, lam_order + a_order + 1), max(lam_order + a_order, 1)
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+@pytest.mark.parametrize("orders", NORMAL_ORDERS, ids=str)
+def test_normal_order_rhs_matches_the_bivariate_composition(label, orders):
+    lam_order, a_order = orders
+    for order in _pair_orders(lam_order, a_order):
+        pair = family(label, order).pair
+        got = normal_order_rhs(pair, lam_order, a_order)
+        ref = ref_normal_order_rhs(pair, lam_order, a_order)
+        assert got == ref, order
+        assert got.to_json_list() == ref.to_json_list(), order
+
+
+@settings(max_examples=25, deadline=None)
+@given(strat.sheffer_pairs(), st.integers(0, 4), st.integers(0, 6))
+def test_normal_order_rhs_matches_the_bivariate_composition_on_random_pairs(
+    pair, lam_order, a_order
+):
+    assert normal_order_rhs(pair, lam_order, a_order) == ref_normal_order_rhs(
+        pair, lam_order, a_order
+    )
+
+
+# sha256 of the JSON of normal_order_rhs(family(label, 29).pair, 12, 16),
+# recorded from the bivariate-composition route
+RHS_JSON_SHA256 = {
+    "hahn": "4ad7efff9cb169bd5d142f49bc91df3beb87a18f968ff5302526b7f7c95c8ff4",
+    "laguerre": "a6356893f9520f26da52ed891693faecacb48e76863704e57e667234772f2e82",
+}
+
+
+@pytest.mark.parametrize("label", sorted(RHS_JSON_SHA256))
+def test_normal_order_rhs_json_is_pinned(label):
+    series = normal_order_rhs(family(label, 29).pair, 12, 16)
+    digest = hashlib.sha256(json.dumps(series.to_json_list()).encode()).hexdigest()
+    assert digest == RHS_JSON_SHA256[label]
 
 
 def ref_normal_order_lhs(pair, lam_order, a_order):
@@ -365,12 +418,16 @@ def ref_normal_order_lhs(pair, lam_order, a_order):
 
 
 @pytest.mark.parametrize("label", FAMILY_LABELS)
-@pytest.mark.parametrize("orders", [(0, 0), (1, 0), (0, 4), (6, 8), (12, 16)], ids=str)
+@pytest.mark.parametrize("orders", NORMAL_ORDERS, ids=str)
 def test_normal_order_lhs_matches_the_weyl_mul_chain(label, orders):
+    # the reference builds M to D-power lam_order + a_order, one past what
+    # normal_order_lhs builds, so it needs the roomier pair
     lam_order, a_order = orders
-    pair = family(label, max(16, lam_order + a_order + 1)).pair
-    got = normal_order_lhs(pair, lam_order, a_order)
-    assert got.terms == ref_normal_order_lhs(pair, lam_order, a_order).terms
+    roomy, least = _pair_orders(lam_order, a_order)
+    ref = ref_normal_order_lhs(family(label, roomy).pair, lam_order, a_order)
+    for order in (roomy, least):
+        got = normal_order_lhs(family(label, order).pair, lam_order, a_order)
+        assert got.terms == ref.terms, order
 
 
 @settings(max_examples=25, deadline=None)

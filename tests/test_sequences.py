@@ -18,6 +18,7 @@ from sheffer import (
     exp_series,
     family,
     heat_check,
+    normal_order_lhs,
     normal_order_rhs,
     sequence_via_egf,
     sequence_via_raising,
@@ -26,6 +27,7 @@ from sheffer import (
     theta_pi_check,
     umbral_S,
     verify_monomiality,
+    verify_normal_order,
 )
 from sheffer import sequences
 from sheffer.normord import FockSpace, compile_pair
@@ -252,15 +254,19 @@ def test_heat_and_theta_pi_invert_each_pair_once(label, monkeypatch):
     assert calls == [(pair.f,)]
 
 
-def test_normal_order_rhs_builds_no_prefactor(monkeypatch):
+def test_normal_order_rhs_core_work(monkeypatch):
+    # the rhs evaluates finv and the prefactor 1/g(finv) at lambda + f(a):
+    # one inversion and one composition on cold caches, none once cached
     pair = family("hahn", 16).pair
     for cache in CORE_CACHES:
         cache.cache_clear()
     composed = _count_calls(monkeypatch, TruncatedSeries, "compose")
+    inverted = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
     normal_order_rhs(pair, 4, 6)
-    assert composed == []
-    assert sequences.pair_prefactor.cache_info().currsize == 0
-    assert sequences.pair_finv.cache_info().currsize == 1
+    assert composed == [(pair.g, sequences.pair_finv(pair))]
+    assert inverted == [(pair.f,)]
+    normal_order_rhs(pair, 4, 6)
+    assert len(composed) == 1 and len(inverted) == 1
 
 
 def test_ladder_series_when_f_has_the_higher_order():
@@ -294,6 +300,12 @@ NEGATIVE_DEGREE_CALLS = {
     "umbral_S": lambda pair: umbral_S(pair, -1),
     "heat_check": lambda pair: heat_check(pair, -2),
     "theta_pi_check": lambda pair: theta_pi_check(pair, -1),
+    "normal_order_rhs lam_order": lambda pair: normal_order_rhs(pair, -1, 4),
+    "normal_order_rhs a_order": lambda pair: normal_order_rhs(pair, 3, -2),
+    "normal_order_lhs lam_order": lambda pair: normal_order_lhs(pair, -1, 4),
+    "normal_order_lhs a_order": lambda pair: normal_order_lhs(pair, 3, -2),
+    "verify_normal_order lam_order": lambda pair: verify_normal_order(pair, -1, 4),
+    "verify_normal_order a_order": lambda pair: verify_normal_order(pair, 3, -2),
 }
 
 
