@@ -4,7 +4,12 @@ Under the correspondence X <-> a-dagger, D <-> a, the raising operator of a
 Sheffer pair is linear in a-dagger, and exp(lambda*M) has an exactly
 computable normally ordered form. This module provides:
 
-* closed-form coherent-state matrix elements of M^n and exp(lambda*M);
+* closed-form coherent-state matrix elements of M^n and exp(lambda*M),
+  and the series route for <z|exp(lambda*M)|z'> that pairs without closed
+  maps rely on (``exp_element_coherent``): the paper's
+  g(z')/g(c) exp(z*(c - z')) <z|z'> with c = finv(lambda + f(z')), found by
+  complex Newton on the truncated f and returned with an embedded relative
+  error estimate from the same evaluation at three quarters of the order;
 * the normally ordered expansion of exp(lambda*M) built two independent
   ways: the operator powers M^n, each the previous one times the X-linear
   M from the right (``normal_order_lhs``), and the pair's finv and
@@ -19,7 +24,8 @@ once per pair (``compile_pair`` memoizes on the pair) in exact arithmetic and
 rounded to complex: finv and 1/g(finv), the sequence s_n, the chains
 M^k x^l from one raising operator at the top usable degree, the exact
 k = 1/f' and h*k with binomial-weighted matrices for their Taylor shift,
-and the image of M for each Fock cutoff. The exact series among these
+the truncated f, f' and g of the coherent series route, and the image of
+M for each Fock cutoff. The exact series among these
 (finv, 1/g(finv), k and h*k) are the pair's core from ``sequences``;
 ``normal_order_rhs`` reads finv and 1/g(finv) from it too, and
 ``normal_order_lhs`` reads k and h*k through ``build_M``. A verifier draw
@@ -48,22 +54,8 @@ from operator import add, mul
 
 import numpy as np
 
-from .errors import (
-    CutoffTooSmall,
-    GuardExceeded,
-    IndexOutOfRange,
-    NotInvertible,
-    OrderExceeded,
-)
-from .series import (
-    Polynomial,
-    TruncatedSeries,
-    _common_denominator,
-    _iconv,
-    _kcompose,
-    _kinverse,
-    _krecip,
-)
+from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded
+from .series import Polynomial, SeriesValue, TruncatedSeries, _common_denominator, _iconv
 from .sequences import (
     ShefferPair,
     _check_degree,
@@ -72,7 +64,6 @@ from .sequences import (
     pair_ladder,
     pair_prefactor,
     sequence_via_egf,
-    taylor_shift,
 )
 from .weyl import WeylElement
 
@@ -135,6 +126,28 @@ def check_coherent_guards(zp: complex, lam: complex, z_guard: float, lam_guard: 
         raise GuardExceeded(f"|lambda| = {abs(lam):.6g} exceeds guard {lam_guard:.6g}")
 
 
+_NEWTON_STEPS = 64
+
+
+def _coherent_factor(part, zstar: complex, zp: complex, lam: complex) -> complex:
+    """g(z')/g(c) exp(z*(c - z')) on one truncation (f, f', g), f(c) = lam + f(z').
+
+    Newton runs from c = z' until a step falls below 1e-14 (1 + |c|); at
+    the quadratic rate the c it leaves is far closer than that last step.
+    """
+    f, df, g = part
+    target = lam + _horner(f, zp)
+    c = zp
+    for _ in range(_NEWTON_STEPS):
+        step = (_horner(f, c) - target) / _horner(df, c)
+        c -= step
+        if abs(step) <= 1e-14 * (1 + abs(c)):
+            return _horner(g, zp) / _horner(g, c) * cmath.exp(zstar * (c - zp))
+    raise GuardExceeded(
+        f"Newton on f(c) = {target} from c = {zp} did not converge in {_NEWTON_STEPS} steps"
+    )
+
+
 class CompiledPair:
     """What the closed forms and the Fock verifier need from one pair.
 
@@ -182,6 +195,17 @@ class CompiledPair:
         return chain
 
     @cached_property
+    def _coherent_parts(self) -> tuple:
+        # f, f' and g rounded at orders N and 3N/4: the value on the lower
+        # truncation is the coherent route's embedded error estimate
+        parts = []
+        for m in (self.order, 3 * self.order // 4):
+            f = self.pair.f.coeffs[: m + 1]
+            df = [c * k for k, c in enumerate(f) if k]
+            parts.append((_rounded(f), _rounded(df), _rounded(self.pair.g.coeffs[: m + 1])))
+        return tuple(parts)
+
+    @cached_property
     def _ladder_shift_weights(self):
         # M = adag*k(a) - (h*k)(a) with k = 1/f' and h = g'/g
         return tuple(_shift_weights(ser.coeffs) for ser in pair_ladder(self.pair))
@@ -204,7 +228,13 @@ class CompiledPair:
         if abs(lam) > guard:
             raise GuardExceeded(f"|lambda| = {abs(lam):.6g} exceeds guard {guard:.6g}")
         finv, prefactor = self._vacuum
-        return _horner(prefactor, lam) * cmath.exp(complex(zstar) * _horner(finv, lam))
+        try:
+            value = _horner(prefactor, lam) * cmath.exp(complex(zstar) * _horner(finv, lam))
+            if cmath.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+        raise GuardExceeded(f"vacuum element at lam={lam} overflows complex floating point")
 
     def exp_element_state(self, lam: complex, zstar: complex, l: int, guard: float) -> complex:
         if l > self.order:
@@ -237,6 +267,23 @@ class CompiledPair:
             power *= lam
             acc += _horner(chain[k], zs) * power / factorial(k)
         return acc / math.sqrt(factorial(l))
+
+    def exp_element_coherent(
+        self, z: complex, zp: complex, lam: complex, lam_guard: float, z_guard: float
+    ) -> SeriesValue:
+        check_coherent_guards(zp, lam, z_guard, lam_guard)
+        zp, zstar = complex(zp), complex(z).conjugate()
+        try:
+            value, low = (_coherent_factor(p, zstar, zp, lam) for p in self._coherent_parts)
+            estimate = abs(value - low) / abs(value)
+            value *= overlap(z, zp)
+            if cmath.isfinite(value) and not math.isnan(estimate):
+                return SeriesValue(value, estimate)
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise GuardExceeded(
+            f"coherent element at z'={zp}, lam={lam} divides by zero or overflows"
+        )
 
     # -- Fock-space images of M ----------------------------------------------
 
@@ -313,53 +360,20 @@ def exp_element_coherent(
     *,
     lam_guard: float = 0.5,
     z_guard: float = 0.5,
-) -> complex:
-    """<z|exp(lam*M)|z'> including the overlap factor, via recentred series.
+) -> SeriesValue:
+    """<z|exp(lam*M)|z'> including the overlap factor, on the truncated pair.
 
-    The pair is recentred at z' by a Taylor shift in complex floating point
-    (f~(x) = f(x+z') - f(z'), g~(x) = g(x+z')/g(z'): the constant term of
-    f~ is set to 0 rather than computed, and g~ is divided by its own
-    constant term); each term of the shift is an exact rational
-    c_m C(m, k) rounded once before it meets the power of z'. The series
-    inversion then runs in complex floating point too. At z' = 0 the
-    recentring is a no-op and the call evaluates the vacuum element path
-    itself, so the reduction is exact. Truncation accuracy degrades as
-    |z'| approaches the series' convergence radius; z_guard is the
-    caller's trust bound for that. A value that overflows complex floating
-    point raises GuardExceeded.
+    Evaluates g(z')/g(c) * exp(z*(c - z')) * <z|z'> with c = finv(lam + f(z'))
+    on the pair's polynomials f_N and g_N, N the pair order: complex Newton
+    solves f_N(c) = lam + f_N(z') from c = z'. The same value with f and g
+    cut to order 3N/4 gives the returned ``SeriesValue(value, tail)`` its
+    tail, the relative estimate |v_N - v_3N/4| / |v_N|; ``fock_verify``
+    refuses the value with GuardExceeded when that exceeds its ``tol``.
+    Newton that does not converge, a zero slope f_N'(c) or g_N(c), and a
+    value that overflows complex floating point raise GuardExceeded, as do
+    |z'| and |lambda| past ``z_guard`` and ``lam_guard``.
     """
-    check_coherent_guards(zp, lam, z_guard, lam_guard)
-    zp = complex(zp)
-    if zp == 0:
-        return exp_element_vac(pair, lam, z.conjugate(), guard=lam_guard) * overlap(z, zp)
-    f_sh = taylor_shift(pair.f.coeffs, zp, 0j)
-    f_sh[0] = 0j
-    if not f_sh[1]:
-        raise NotInvertible("f'(z') vanishes; recentred pair is not invertible")
-    g_sh = taylor_shift(pair.g.coeffs, zp, 0j)
-    if not g_sh[0]:
-        raise GuardExceeded("g(z') = 0; recentred pair is not admissible")
-    g0 = g_sh[0]
-    order = min(len(f_sh), len(g_sh)) - 1
-    fc = f_sh[: order + 1]
-    gc = [c / g0 for c in g_sh[: order + 1]]
-    h = _kinverse(fc, order, 0j, 1 + 0j)
-    gh = _kcompose(gc, h, order, 0j)
-    r = _krecip(gh, order, 0j, 1 + 0j)
-    hv = 0j
-    rv = 0j
-    for hk, rk in zip(reversed(h), reversed(r)):
-        hv = hv * lam + hk
-        rv = rv * lam + rk
-    try:
-        value = rv * cmath.exp(z.conjugate() * hv) * overlap(z, zp)
-        if cmath.isfinite(value):
-            return value
-    except OverflowError:
-        pass
-    raise GuardExceeded(
-        f"recentred series at z'={zp}, lam={lam} overflows complex floating point"
-    )
+    return compile_pair(pair).exp_element_coherent(z, zp, lam, lam_guard, z_guard)
 
 
 def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> complex:
@@ -866,9 +880,11 @@ def fock_verify(
     if maps is not None:
         closed = exp_element_coherent_closed(maps, z, zp, lam)
     else:
-        closed = exp_element_coherent(
-            pair, z, zp, lam, lam_guard=lam_guard, z_guard=z_guard
-        )
+        closed, estimate = compiled.exp_element_coherent(z, zp, lam, lam_guard, z_guard)
+        if estimate > tol:
+            raise GuardExceeded(
+                f"coherent series estimate {estimate:.3g} above tolerance {tol:.3g}"
+            )
     rows.append(_batched_row("exp_coherent", [(num, closed)], tol, max(tail, exp_tail)))
 
     # recentring identity: exp(-z' adag) M exp(z' adag) = M(a + z', adag)

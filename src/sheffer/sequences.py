@@ -124,7 +124,7 @@ def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
     rows = [[] for _ in range(n_max + 1)]
     for j in range(n_max + 1):
         if j:
-            column = _kmul(column, finv, n_max, _ZERO)
+            column = _kmul(column, finv, n_max)
         for n in range(j, n_max + 1):
             rows[n].append(column[n] * perm(n, n - j))
     polys = tuple(Polynomial.from_coeffs(row) for row in rows)
@@ -204,23 +204,18 @@ def verify_monomiality(pair: ShefferPair, n_max: int) -> list:
     return rows
 
 
-def taylor_shift(coeffs, t, zero):
-    """Shifted coefficient list for p(x + t); field-generic.
-
-    Exact over `Fraction`. Over complex each coefficient is a rounded sum,
-    taken from the highest power down: inside the radius of convergence
-    those terms are the smallest, and adding them first rounds less.
-    """
+def taylor_shift(coeffs, t: Fraction) -> list:
+    """Exact coefficient list of p(x + t), for the coefficient list of p."""
     n = len(coeffs) - 1
-    powers = [zero + 1]
+    powers = [Fraction(1)]
     for _ in range(n):
         powers.append(powers[-1] * t)
     out = []
     for k in range(n + 1):
-        acc = zero
-        for m in range(n, k - 1, -1):
+        acc = _ZERO
+        for m in range(k, n + 1):
             if coeffs[m]:
-                acc = acc + coeffs[m] * comb(m, k) * powers[m - k]
+                acc += coeffs[m] * comb(m, k) * powers[m - k]
         out.append(acc)
     return out
 
@@ -234,9 +229,9 @@ def shift_pair(pair: ShefferPair, t: RationalLike) -> ShefferPair:
     tail. Requires f'(t) != 0 and g(t) != 0 on the truncated data.
     """
     t = as_fraction(t)
-    f_shift = taylor_shift(list(pair.f.coeffs), t, _ZERO)
+    f_shift = taylor_shift(pair.f.coeffs, t)
     f_shift[0] = _ZERO
-    g_shift = taylor_shift(list(pair.g.coeffs), t, _ZERO)
+    g_shift = taylor_shift(pair.g.coeffs, t)
     if not g_shift[0]:
         raise ZeroConstantTerm(f"g({t}) = 0: shift not admissible")
     new_f = TruncatedSeries.from_coeffs(f_shift, pair.f.order)

@@ -6,16 +6,15 @@ numeric evaluation helpers. A series carries its truncation order as
 explicit state, and binary operations truncate to the smaller operand
 order instead of padding silently.
 
-The low-level kernels at the top of the module work on plain coefficient
-lists over a field given by its ``zero`` (and ``one``): `Fraction` for the
-public classes, Python complex for the recentred coherent-state route.
-Over `Fraction` the product kernel is fraction-free, in the layout of
-FLINT's ``fmpq_poly``: each operand becomes integer numerators over one
-common denominator, products are summed as integers, and one `Fraction`
-(one gcd) is built per output coefficient. Every kernel built on products
-(composition, compositional inverse, log, tan, arctan) inherits that. The
+The low-level kernels at the top of the module work on plain lists of
+`Fraction` coefficients. The product kernel is fraction-free, in the
+layout of FLINT's ``fmpq_poly``: each operand becomes integer numerators
+over one common denominator, products are summed as integers, and one
+`Fraction` (one gcd) is built per output coefficient. Every kernel built
+on products (compositional inverse, log, tan, arctan) inherits that. The
 reciprocal sums integers the same way, with its outputs kept over a
-running common denominator.
+running common denominator, and composition runs its whole Horner loop
+on integers over one running denominator.
 
 `SparseTerms` is the one linear structure of the exponent-keyed sums of
 monomials: bivariate polynomials here, Weyl-algebra elements in ``weyl``
@@ -41,6 +40,9 @@ from .errors import (
 )
 
 RationalLike = Union[Fraction, int]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -83,37 +85,17 @@ def _iconv(a, b, n):
     return out + [0] * (n + 1 - len(out))
 
 
-def _kmul(a, b, n, zero):
-    if not isinstance(zero, Fraction):
-        out = [zero] * (n + 1)
-        for i, ai in enumerate(a[: n + 1]):
-            if not ai:
-                continue
-            for j, bj in enumerate(b[: n + 1 - i]):
-                if bj:
-                    out[i + j] = out[i + j] + ai * bj
-        return out
+def _kmul(a, b, n):
     an, ad = _common_denominator(a[: n + 1])
     bn, bd = _common_denominator(b[: n + 1])
     den = ad * bd
-    return [Fraction(s, den) if s else zero for s in _iconv(an, bn, n)]
+    return [Fraction(s, den) if s else _ZERO for s in _iconv(an, bn, n)]
 
 
-def _krecip(a, n, zero, one):
-    inv0 = one / a[0]
-    if not isinstance(zero, Fraction):
-        out = [zero] * (n + 1)
-        out[0] = inv0
-        for m in range(1, n + 1):
-            acc = zero
-            for k in range(1, m + 1):
-                ak = a[k] if k < len(a) else zero
-                if ak:
-                    acc = acc + ak * out[m - k]
-            out[m] = -(acc * inv0)
-        return out
+def _krecip(a, n):
     # out[m] = -inv0 * sum_k a[k] out[m-k], summed as integers: a over its
     # common denominator, the outputs so far over their running one
+    inv0 = _ONE / a[0]
     an, ad = _common_denominator(a[: n + 1])
     an += [0] * (n + 1 - len(an))
     out = [inv0]
@@ -130,83 +112,88 @@ def _krecip(a, n, zero, one):
     return out
 
 
-def _kcompose(outer, inner, n, zero):
-    # Horner substitution; caller guarantees inner[0] == 0.
-    out = [zero] * (n + 1)
+def _kcompose(outer, inner, n):
+    # Horner substitution; caller guarantees inner[0] == 0. The fixed inner
+    # series goes over its common denominator once, and the running value
+    # stays integers over one denominator, gcd-reduced after every step.
+    inner_nums, inner_den = _common_denominator(inner[: n + 1])
+    nums, den = [0] * (n + 1), 1
     for c in reversed(outer[: n + 1]):
-        out = _kmul(out, inner, n, zero)
-        out[0] = out[0] + c
-    return out
+        nums = [v * c.denominator for v in _iconv(nums, inner_nums, n)]
+        nums[0] += c.numerator * den * inner_den
+        den *= inner_den * c.denominator
+        g = gcd(den, *nums)
+        nums, den = [v // g for v in nums], den // g
+    return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
-def _kderiv(a, zero):
-    return [a[k] * k for k in range(1, len(a))] or [zero]
+def _kderiv(a):
+    return [a[k] * k for k in range(1, len(a))] or [_ZERO]
 
 
-def _kinverse(a, n, zero, one):
+def _kinverse(a, n):
     # Newton order-doubling for g with a(g(x)) = x mod x^{n+1}.
     if n == 0:
-        return [zero]
-    da = _kderiv(a, zero)
-    g = [zero, one / a[1]]
+        return [_ZERO]
+    da = _kderiv(a)
+    g = [_ZERO, _ONE / a[1]]
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        g = g + [zero] * (prec + 1 - len(g))
-        err = _kcompose(a, g, prec, zero)
-        err[1] = err[1] - one
-        slope = _kcompose(da, g, prec, zero)
-        corr = _kmul(err, _krecip(slope, prec, zero, one), prec, zero)
+        g = g + [_ZERO] * (prec + 1 - len(g))
+        err = _kcompose(a, g, prec)
+        err[1] = err[1] - _ONE
+        slope = _kcompose(da, g, prec)
+        corr = _kmul(err, _krecip(slope, prec), prec)
         g = [g[k] - corr[k] for k in range(prec + 1)]
     return g
 
 
-def _kexp(a, n, zero, one):
+def _kexp(a, n):
     # b' = a' b, solved coefficient by coefficient; a[0] == 0.
-    out = [zero] * (n + 1)
-    out[0] = one
+    out = [_ZERO] * (n + 1)
+    out[0] = _ONE
     for m in range(1, n + 1):
-        acc = zero
+        acc = _ZERO
         for k in range(1, m + 1):
-            ak = a[k] if k < len(a) else zero
+            ak = a[k] if k < len(a) else _ZERO
             if ak:
                 acc = acc + (ak * k) * out[m - k]
         out[m] = acc / m
     return out
 
 
-def _klog(a, n, zero, one):
+def _klog(a, n):
     # log(a) = integral of a'/a; a[0] == 1.
-    da = _kderiv(a, zero)
-    q = _kmul(da, _krecip(a, n, zero, one), n, zero)
-    out = [zero] * (n + 1)
+    q = _kmul(_kderiv(a), _krecip(a, n), n)
+    out = [_ZERO] * (n + 1)
     for k in range(1, n + 1):
         out[k] = q[k - 1] / k
     return out
 
 
-def _ksqrt(a, n, zero, one):
+def _ksqrt(a, n):
     # b^2 = a with b[0] == 1.
-    out = [zero] * (n + 1)
-    out[0] = one
+    out = [_ZERO] * (n + 1)
+    out[0] = _ONE
     for m in range(1, n + 1):
-        acc = a[m] if m < len(a) else zero
+        acc = a[m] if m < len(a) else _ZERO
         for k in range(1, m):
             acc = acc - out[k] * out[m - k]
         out[m] = acc / 2
     return out
 
 
-def _ksincos(a, n, zero, one):
+def _ksincos(a, n):
     # s' = a' c, c' = -a' s; a[0] == 0.
-    s = [zero] * (n + 1)
-    c = [zero] * (n + 1)
-    c[0] = one
+    s = [_ZERO] * (n + 1)
+    c = [_ZERO] * (n + 1)
+    c[0] = _ONE
     for m in range(1, n + 1):
-        acc_s = zero
-        acc_c = zero
+        acc_s = _ZERO
+        acc_c = _ZERO
         for k in range(1, m + 1):
-            ak = a[k] if k < len(a) else zero
+            ak = a[k] if k < len(a) else _ZERO
             if ak:
                 acc_s = acc_s + (ak * k) * c[m - k]
                 acc_c = acc_c + (ak * k) * s[m - k]
@@ -215,13 +202,12 @@ def _ksincos(a, n, zero, one):
     return s, c
 
 
-def _karctan(a, n, zero, one):
+def _karctan(a, n):
     # t' = a'/(1 + a^2); a[0] == 0.
-    da = _kderiv(a, zero)
-    denom = _kmul(a, a, n, zero)
-    denom[0] = denom[0] + one
-    q = _kmul(da, _krecip(denom, n, zero, one), n, zero)
-    out = [zero] * (n + 1)
+    denom = _kmul(a, a, n)
+    denom[0] = denom[0] + _ONE
+    q = _kmul(_kderiv(a), _krecip(denom, n), n)
+    out = [_ZERO] * (n + 1)
     for k in range(1, n + 1):
         out[k] = q[k - 1] / k
     return out
@@ -235,10 +221,6 @@ def _karctan(a, n, zero, one):
 class SeriesValue(NamedTuple):
     value: complex
     tail: float
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -333,7 +315,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             n = min(self.order, other.order)
-            out = _kmul(list(self.coeffs), list(other.coeffs), n, _ZERO)
+            out = _kmul(list(self.coeffs), list(other.coeffs), n)
             return TruncatedSeries(tuple(out), n)
         return self.scale(other)
 
@@ -356,7 +338,7 @@ class TruncatedSeries:
         """Multiplicative inverse mod x^{order+1}; requires a0 != 0."""
         if not self.coeffs[0]:
             raise ZeroConstantTerm("reciprocal needs a nonzero constant term")
-        out = _krecip(list(self.coeffs), self.order, _ZERO, _ONE)
+        out = _krecip(list(self.coeffs), self.order)
         return TruncatedSeries(tuple(out), self.order)
 
     def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -364,7 +346,7 @@ class TruncatedSeries:
         if inner.coeffs[0]:
             raise NonzeroInnerConstant("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        out = _kcompose(list(self.coeffs), list(inner.coeffs), n, _ZERO)
+        out = _kcompose(list(self.coeffs), list(inner.coeffs), n)
         return TruncatedSeries(tuple(out), n)
 
     def comp_inverse(self) -> "TruncatedSeries":
@@ -373,7 +355,7 @@ class TruncatedSeries:
             raise NotInvertible("compositional inverse needs a0 = 0")
         if self.order < 1 or not self.coeffs[1]:
             raise NotInvertible("compositional inverse needs a1 != 0")
-        out = _kinverse(list(self.coeffs), self.order, _ZERO, _ONE)
+        out = _kinverse(list(self.coeffs), self.order)
         return TruncatedSeries(tuple(out), self.order)
 
     # -- numeric evaluation -------------------------------------------------
@@ -413,49 +395,49 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     """exp(a) for a series with zero constant term."""
     if a.coeffs[0]:
         raise BadConstantTerm("exp_series needs constant term 0")
-    return TruncatedSeries(tuple(_kexp(list(a.coeffs), a.order, _ZERO, _ONE)), a.order)
+    return TruncatedSeries(tuple(_kexp(list(a.coeffs), a.order)), a.order)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
     """log(a) for a series with constant term 1."""
     if a.coeffs[0] != 1:
         raise BadConstantTerm("log_series needs constant term 1")
-    return TruncatedSeries(tuple(_klog(list(a.coeffs), a.order, _ZERO, _ONE)), a.order)
+    return TruncatedSeries(tuple(_klog(list(a.coeffs), a.order)), a.order)
 
 
 def sqrt_series(a: TruncatedSeries) -> TruncatedSeries:
     """Square root with constant term 1."""
     if a.coeffs[0] != 1:
         raise BadConstantTerm("sqrt_series needs constant term 1")
-    return TruncatedSeries(tuple(_ksqrt(list(a.coeffs), a.order, _ZERO, _ONE)), a.order)
+    return TruncatedSeries(tuple(_ksqrt(list(a.coeffs), a.order)), a.order)
 
 
 def sin_series(a: TruncatedSeries) -> TruncatedSeries:
     if a.coeffs[0]:
         raise BadConstantTerm("sin_series needs constant term 0")
-    s, _ = _ksincos(list(a.coeffs), a.order, _ZERO, _ONE)
+    s, _ = _ksincos(list(a.coeffs), a.order)
     return TruncatedSeries(tuple(s), a.order)
 
 
 def cos_series(a: TruncatedSeries) -> TruncatedSeries:
     if a.coeffs[0]:
         raise BadConstantTerm("cos_series needs constant term 0")
-    _, c = _ksincos(list(a.coeffs), a.order, _ZERO, _ONE)
+    _, c = _ksincos(list(a.coeffs), a.order)
     return TruncatedSeries(tuple(c), a.order)
 
 
 def tan_series(a: TruncatedSeries) -> TruncatedSeries:
     if a.coeffs[0]:
         raise BadConstantTerm("tan_series needs constant term 0")
-    s, c = _ksincos(list(a.coeffs), a.order, _ZERO, _ONE)
-    out = _kmul(s, _krecip(c, a.order, _ZERO, _ONE), a.order, _ZERO)
+    s, c = _ksincos(list(a.coeffs), a.order)
+    out = _kmul(s, _krecip(c, a.order), a.order)
     return TruncatedSeries(tuple(out), a.order)
 
 
 def arctan_series(a: TruncatedSeries) -> TruncatedSeries:
     if a.coeffs[0]:
         raise BadConstantTerm("arctan_series needs constant term 0")
-    return TruncatedSeries(tuple(_karctan(list(a.coeffs), a.order, _ZERO, _ONE)), a.order)
+    return TruncatedSeries(tuple(_karctan(list(a.coeffs), a.order)), a.order)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +524,7 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             a, b = self.coeffs, other.coeffs
-            return Polynomial.from_coeffs(_kmul(a, b, len(a) + len(b) - 2, _ZERO))
+            return Polynomial.from_coeffs(_kmul(a, b, len(a) + len(b) - 2))
         return self.scale(other)
 
     __rmul__ = __mul__

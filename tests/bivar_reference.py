@@ -79,12 +79,12 @@ class _Bivar:
         if not self.grid[0][0]:
             raise ZeroDivisionError("bivariate reciprocal needs nonzero constant cell")
         j = self.j
-        rows = [_krecip(self.grid[0], j, _ZERO, _ONE)]
+        rows = [_krecip(self.grid[0], j)]
         for p in range(1, self.k + 1):
             acc = [_ZERO] * (j + 1)
             for r in range(1, p + 1):
-                acc = list(map(add, acc, _kmul(self.grid[r], rows[p - r], j, _ZERO)))
-            rows.append([-c for c in _kmul(rows[0], acc, j, _ZERO)])
+                acc = list(map(add, acc, _kmul(self.grid[r], rows[p - r], j)))
+            rows.append([-c for c in _kmul(rows[0], acc, j)])
         return _Bivar(rows, self.k, j)
 
 

@@ -42,10 +42,10 @@ from sheffer import (
     verify_normal_order,
     weyl_mul,
 )
-from sheffer import normord, sequences, weyl
+from sheffer import normord, sequences, series, weyl
 from sheffer.catalog import FAMILY_LABELS
 from sheffer.normord import compile_pair
-from sheffer.sequences import build_M, pair_finv, pair_ladder, pair_prefactor, taylor_shift
+from sheffer.sequences import build_M, pair_finv, pair_ladder, pair_prefactor
 from sheffer.suites import _disk_draw, coherent_rows, rows_pass
 
 
@@ -132,10 +132,25 @@ def test_exp_element_guards():
         exp_element_state(pair, 0.9, 0.0, 1, guard=0.5)
 
 
+def test_exp_element_vac_refuses_overflow_inside_its_guard():
+    # exp(z* finv(lam)) overflows on this random pair well inside |lam| <= 0.25
+    f = TruncatedSeries.from_coeffs(
+        [0, 1, F(-26, 3), F(33, 7), F(9, 2), F(-26, 3), 3, F(43, 9), 1, F(-53, 9), -2]
+    )
+    g = TruncatedSeries.from_coeffs(
+        [1, F(-7, 60), F(91, 90), F(-11, 20), F(-21, 40), F(91, 90), F(-7, 20),
+         F(-301, 540), F(-7, 60), F(371, 540), F(7, 30)]
+    )
+    lam = 0.09596714612136706 - 0.09772768119766156j
+    zstar = (0.6313998492550713 - 0.4758462955254986j).conjugate()
+    with pytest.raises(GuardExceeded):
+        exp_element_vac(ShefferPair(f, g), lam, zstar, guard=0.25)
+
+
 def test_exp_element_coherent_at_lambda_zero_is_overlap():
     pair = family("bell", 16).pair
     z, zp = 0.5 - 0.2j, 0.3 + 0.25j
-    value = exp_element_coherent(pair, z, zp, 0.0)
+    value = exp_element_coherent(pair, z, zp, 0.0).value
     assert abs(value - overlap(z, zp)) < 1e-13
 
 
@@ -143,33 +158,36 @@ def test_exp_element_coherent_matches_hermite_closed_form():
     pair = family("hermite", 16).pair
     z, zp, lam = 0.4 + 0.3j, -0.2 + 0.1j, 0.07 - 0.02j
     expected = cmath.exp(lam * (2 * z.conjugate() - zp) - lam**2) * overlap(z, zp)
-    assert abs(exp_element_coherent(pair, z, zp, lam) - expected) < 1e-12
+    assert abs(exp_element_coherent(pair, z, zp, lam).value - expected) < 1e-12
 
 
 def test_exp_element_coherent_matches_bell_closed_form():
-    # |z'| well inside the log(1+x) convergence radius so the recentred
-    # truncation tail stays far below the tolerance
+    # |z'| well inside the log(1+x) convergence radius so the truncation
+    # tail of f stays far below the tolerance
     pair = family("bell", 24).pair
     z, zp, lam = 0.3 - 0.5j, 0.2 + 0.1j, 0.09
     expected = cmath.exp(z.conjugate() * (zp + 1) * (cmath.exp(lam) - 1)) * overlap(z, zp)
-    assert abs(exp_element_coherent(pair, z, zp, lam) - expected) < 1e-12
+    assert abs(exp_element_coherent(pair, z, zp, lam).value - expected) < 1e-12
 
 
-def test_exp_element_coherent_at_zp_zero_reduces_to_vacuum_exactly():
-    # the recentring is a no-op at z' = 0, so the two evaluation paths run
-    # over identical coefficients and agree bit for bit
+def test_exp_element_coherent_at_zp_zero_meets_the_vacuum_element():
+    # at z' = 0 Newton solves f(c) = lambda, so c is finv(lambda) and the
+    # series route meets the generating-function route to rounding
     for label in ("hermite", "bell", "bessel"):
         pair = family(label, 16).pair
         z, lam = 0.35 - 0.15j, 0.05 + 0.02j
-        via_coherent = exp_element_coherent(pair, z, 0.0, lam)
+        via_coherent = exp_element_coherent(pair, z, 0.0, lam).value
         via_vac = exp_element_vac(pair, lam, z.conjugate()) * overlap(z, 0.0)
-        assert via_coherent == via_vac
+        assert abs(via_coherent - via_vac) <= 1e-14 * abs(via_vac)
 
 
 def test_exp_element_coherent_series_route_matches_closed_maps():
     entry = family("bessel", 24)
     z, zp, lam = 0.6 + 0.2j, 0.12 - 0.08j, 0.05 + 0.03j
-    series_route = exp_element_coherent(entry.pair, z, zp, lam, z_guard=0.3, lam_guard=0.2)
+    series_route, estimate = exp_element_coherent(
+        entry.pair, z, zp, lam, z_guard=0.3, lam_guard=0.2
+    )
+    assert estimate <= 1e-10
     closed_route = exp_element_coherent_closed(entry.maps, z, zp, lam)
     assert abs(series_route - closed_route) < 1e-10
 
@@ -183,9 +201,10 @@ def test_exp_element_coherent_guards():
 
 
 def test_exp_element_coherent_refuses_overflow_inside_the_bell_guards():
-    # seeded draws inside bell's own guard discs: the recentred series
-    # overflows complex floating point on some of them, which must end as a
-    # refusal and never as a raw OverflowError or a non-finite value
+    # seeded draws inside bell's own guard discs: each ends as GuardExceeded
+    # or as a finite value with its estimate, never as a raw OverflowError;
+    # log(1+x) truncated at order 16 is far off near |z'| = 1, which the
+    # estimate must show
     entry = family("bell", 16)
     rng = np.random.default_rng(1)
     refused = 0
@@ -194,14 +213,108 @@ def test_exp_element_coherent_refuses_overflow_inside_the_bell_guards():
         zp = _disk_draw(rng, entry.z_guard)
         lam = _disk_draw(rng, entry.lam_guard)
         try:
-            value = exp_element_coherent(
+            value, estimate = exp_element_coherent(
                 entry.pair, z, zp, lam, z_guard=entry.z_guard, lam_guard=entry.lam_guard
             )
         except GuardExceeded:
             refused += 1
         else:
             assert cmath.isfinite(value)
+            refused += estimate > 1e-8
     assert refused > 0
+    # f(z') itself overflows complex floating point past every guard
+    with pytest.raises(GuardExceeded):
+        exp_element_coherent(entry.pair, 0.1, 1e30, 0.05, z_guard=math.inf)
+
+
+def _coherent_gate(order, seed, draws):
+    """Per family: (accepted, accepted but wrong) draws of the series route.
+
+    z is drawn in the unit disc, z' and lambda over the family's full guard
+    discs. A draw is refused by GuardExceeded or an estimate above 1e-8;
+    an accepted value is wrong when it is more than 1e-8 relative away from
+    the closed maps.
+    """
+    gate = {}
+    for label in FAMILY_LABELS:
+        entry = family(label, order)
+        rng = np.random.default_rng(seed)
+        accepted = wrong = 0
+        for _ in range(draws):
+            z = _disk_draw(rng, 1.0)
+            zp = _disk_draw(rng, entry.z_guard)
+            lam = _disk_draw(rng, entry.lam_guard)
+            try:
+                value, estimate = exp_element_coherent(
+                    entry.pair, z, zp, lam, z_guard=entry.z_guard, lam_guard=entry.lam_guard
+                )
+            except GuardExceeded:
+                continue
+            if estimate > 1e-8:
+                continue
+            accepted += 1
+            closed = exp_element_coherent_closed(entry.maps, z, zp, lam)
+            wrong += abs(value - closed) > 1e-8 * abs(closed)
+        gate[label] = (accepted, wrong)
+    return gate
+
+
+@pytest.mark.parametrize("order", (16, 32))
+def test_exp_element_coherent_gate_over_the_full_guard_discs(order):
+    draws = 200
+    gate = _coherent_gate(order, seed=1, draws=draws)
+    assert all(wrong == 0 for _, wrong in gate.values()), gate
+    # floors below the measured shares, so that refusing everything fails
+    if order == 16:
+        assert gate["bessel"][0] >= 0.95 * draws, gate
+        assert gate["lower_factorial"][0] >= 0.95 * draws, gate
+    else:
+        assert sum(accepted for accepted, _ in gate.values()) >= 0.6 * 7 * draws, gate
+
+
+def test_fock_verify_refuses_a_coherent_series_value_past_its_estimate():
+    # log(1+x) cut at order 16 is far off at z' = -0.9; the closed maps are not
+    entry = family("bell", 16)
+    params = CoherentParams(0.3, -0.9, 0.5)
+    guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    _, estimate = exp_element_coherent(entry.pair, params.z, params.zp, params.lam, **guards)
+    assert estimate > 1e-8
+    fock_verify(entry.pair, params, maps=entry.maps, **guards)
+    with pytest.raises(GuardExceeded):
+        fock_verify(entry.pair, params, **guards)
+
+
+def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
+    # the route runs on the rounded truncated pair alone: a complex path
+    # through the exact list kernels or the Taylor shift must not come back
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    entry = family("hahn", 16)
+    params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
+    guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    names = [name for name in vars(series) if name.startswith("_k")] + ["taylor_shift"]
+    for module in (series, sequences, normord):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    for cache in (compile_pair, pair_finv, pair_prefactor, pair_ladder):
+        cache.cache_clear()
+    _, estimate = exp_element_coherent(entry.pair, params.z, params.zp, params.lam, **guards)
+    assert estimate <= 1e-8
+    assert not counts
+    # a cold fock_verify builds the pair's exact core; a warm one adds nothing
+    fock_verify(entry.pair, params, **guards)
+    assert counts
+    counts.clear()
+    assert rows_pass(fock_verify(entry.pair, params, **guards))
+    assert not counts
 
 
 # -- normally ordered series -----------------------------------------------------
@@ -621,17 +734,25 @@ def ref_exp_adag(space, t):
     return out
 
 
+def ref_taylor_shift(coeffs, t):
+    # coefficients of c(x + t) at the working precision, highest power first
+    n = len(coeffs) - 1
+    cs = [mpmath.mpf(c.numerator) / c.denominator for c in coeffs]
+    out = []
+    for k in range(n + 1):
+        acc = mpmath.mpc(0)
+        for m in range(n, k - 1, -1):
+            acc += cs[m] * comb(m, k) * t ** (m - k)
+        out.append(complex(acc))
+    return out
+
+
 def ref_pair_matrix(space, pair, shift):
     k_ser = pair.f.derivative().reciprocal()
     hk_ser = (pair.g.derivative() * pair.g.reciprocal() * k_ser).truncate(k_ser.order)
     with mpmath.workdps(60):
         t = mpmath.mpc(complex(shift))
-        k, hk = (
-            [complex(c) for c in taylor_shift(
-                [mpmath.mpf(c.numerator) / c.denominator for c in ser.coeffs], t, mpmath.mpc(0)
-            )]
-            for ser in (k_ser, hk_ser)
-        )
+        k, hk = (ref_taylor_shift(ser.coeffs, t) for ser in (k_ser, hk_ser))
     return space.adag @ ref_series_on_a(space, k) - ref_series_on_a(space, hk)
 
 
