@@ -28,10 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, perm
+from math import comb, gcd, perm
 
 from .errors import IndexOutOfRange, NotInvertible, OrderExceeded, ZeroConstantTerm
-from .series import Polynomial, RationalLike, TruncatedSeries, _kmul, as_fraction
+from .series import (
+    Polynomial,
+    RationalLike,
+    TruncatedSeries,
+    _common_denominator,
+    _iconv,
+    as_fraction,
+)
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
@@ -113,20 +120,27 @@ def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
     exp(x * finv(t)) / g(finv(t)) is read off column by column, as an
     exponential Riordan array: the x^j coefficient of s_n is
     n!/j! * [t^n] finv(t)^j / g(finv(t)). Column j is column j-1 times
-    finv, so the build costs n_max exact series products on the pair's
-    cached finv and prefactor.
+    finv and vanishes below t^j, so it is kept as integer numerators of
+    t^j..t^{n_max} over one gcd-reduced denominator, with finv over its
+    common denominator once; a `Fraction` is built only for each
+    coefficient of s_n. The pair's cached finv and prefactor feed it.
     """
     _check_degree(n_max, "n_max")
     if n_max > pair.order:
         raise OrderExceeded(f"n_max {n_max} exceeds series order {pair.order}")
-    finv = list(pair_finv(pair).coeffs[: n_max + 1])
-    column = list(pair_prefactor(pair).coeffs[: n_max + 1])
+    # finv(t) = t * F(t), so column j = t^j * C_j with C_j = C_{j-1} * F
+    shift, shift_den = _common_denominator(pair_finv(pair).coeffs[1 : n_max + 1])
+    col, den = _common_denominator(pair_prefactor(pair).coeffs[: n_max + 1])
     rows = [[] for _ in range(n_max + 1)]
     for j in range(n_max + 1):
         if j:
-            column = _kmul(column, finv, n_max)
+            col = _iconv(col, shift, n_max - j)
+            den *= shift_den
+            g = gcd(den, *col)
+            col, den = [v // g for v in col], den // g
         for n in range(j, n_max + 1):
-            rows[n].append(column[n] * perm(n, n - j))
+            v = col[n - j]
+            rows[n].append(Fraction(v * perm(n, n - j), den) if v else _ZERO)
     polys = tuple(Polynomial.from_coeffs(row) for row in rows)
     return ShefferSequence(polys, pair)
 

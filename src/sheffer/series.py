@@ -14,7 +14,11 @@ over one common denominator, products are summed as integers, and one
 on products (compositional inverse, log, tan, arctan) inherits that. The
 reciprocal sums integers the same way, with its outputs kept over a
 running common denominator, and composition runs its whole Horner loop
-on integers over one running denominator.
+on integers over one running denominator, keeping the value at outer
+index k only to x^(n-k) since it is later multiplied by inner^k. The
+compositional inverse is Newton order-doubling with one composition per
+step: g <- g - (a(g) - x) g', because g' = 1/a'(g) to the order that g is
+already right to.
 
 `SparseTerms` is the one linear structure of the exponent-keyed sums of
 monomials: bivariate polynomials here, Weyl-algebra elements in ``weyl``
@@ -116,14 +120,18 @@ def _kcompose(outer, inner, n):
     # Horner substitution; caller guarantees inner[0] == 0. The fixed inner
     # series goes over its common denominator once, and the running value
     # stays integers over one denominator, gcd-reduced after every step.
+    # The value at outer index k is later multiplied by inner^k, whose
+    # valuation is k, so it is kept only to x^(n-k).
     inner_nums, inner_den = _common_denominator(inner[: n + 1])
-    nums, den = [0] * (n + 1), 1
-    for c in reversed(outer[: n + 1]):
-        nums = [v * c.denominator for v in _iconv(nums, inner_nums, n)]
+    nums, den = [], 1
+    for k in range(min(len(outer) - 1, n), -1, -1):
+        c = outer[k]
+        nums = [v * c.denominator for v in _iconv(nums, inner_nums, n - k)]
         nums[0] += c.numerator * den * inner_den
         den *= inner_den * c.denominator
         g = gcd(den, *nums)
         nums, den = [v // g for v in nums], den // g
+    nums += [0] * (n + 1 - len(nums))
     return [Fraction(v, den) if v else _ZERO for v in nums]
 
 
@@ -132,20 +140,20 @@ def _kderiv(a):
 
 
 def _kinverse(a, n):
-    # Newton order-doubling for g with a(g(x)) = x mod x^{n+1}.
+    # Newton order-doubling for g with a(g(x)) = x mod x^{n+1}. With g right
+    # to order p, e = a(g) - x starts at x^(p+1), and differentiating
+    # a(g) = x + e gives 1/a'(g) = g' mod x^p; so g - e*g' is right to order
+    # 2p with one composition per step, and only e[p+1..2p] times g'[0..p-1]
+    # is needed.
     if n == 0:
         return [_ZERO]
-    da = _kderiv(a)
     g = [_ZERO, _ONE / a[1]]
     prec = 1
     while prec < n:
-        prec = min(2 * prec, n)
-        g = g + [_ZERO] * (prec + 1 - len(g))
-        err = _kcompose(a, g, prec)
-        err[1] = err[1] - _ONE
-        slope = _kcompose(da, g, prec)
-        corr = _kmul(err, _krecip(slope, prec), prec)
-        g = [g[k] - corr[k] for k in range(prec + 1)]
+        new = min(2 * prec, n)
+        err = _kcompose(a, g, new)
+        g += [-c for c in _kmul(err[prec + 1 :], _kderiv(g), new - prec - 1)]
+        prec = new
     return g
 
 
@@ -550,21 +558,24 @@ class Polynomial:
     def __str__(self):
         if not self.coeffs:
             return "0"
+        # sign and magnitude straight from numerator and denominator, with
+        # no Fraction arithmetic or comparison per term
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
-            if not c:
+            num, den = c.numerator, c.denominator
+            if not num:
                 continue
+            mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
             if k == 0:
-                term = str(abs(c))
+                term = mag
             else:
-                mag = abs(c)
                 base = "x" if k == 1 else f"x^{k}"
-                term = base if mag == 1 else f"{mag}*{base}"
+                term = base if mag == "1" else f"{mag}*{base}"
             if not parts:
-                parts.append(term if c > 0 else f"-{term}")
+                parts.append(term if num > 0 else f"-{term}")
             else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+                parts.append(f"+ {term}" if num > 0 else f"- {term}")
         return " ".join(parts)
 
 

@@ -1,0 +1,47 @@
+"""The benchmark's own output check, run on a few of its operations.
+
+``perfbench/workloads.py`` is loaded by path and used as it is: each
+operation goes through ``sheffer.cli.main`` with stdout captured, and
+``workloads.check`` must accept the result. A change that makes the
+benchmark's check fail, or raise an exception that the benchmark does not
+catch, fails here first.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+import pytest
+
+from sheffer import cli
+
+_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
+workloads = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+
+SEED = 7
+
+
+def _op(workload, **match):
+    ops = workloads.operations(workload, SEED)
+    return next(op for op in ops if all(op.get(k) == v for k, v in match.items()))
+
+
+# bessel is checked against the raising-operator route, the custom pair
+# against a pair rebuilt from its drawn coefficients
+OPERATIONS = {
+    "exact-highorder-bessel": _op("exact-highorder", family="bessel"),
+    "exact-highorder-custom": _op("exact-highorder", family="custom"),
+    "normal-order-deep-hermite": _op("normal-order-deep", family="hermite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPERATIONS))
+def test_benchmark_check_accepts_the_cli_output(name):
+    op = OPERATIONS[name]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(list(op["argv"]))
+    assert workloads.check(op, rc, out.getvalue()) is None

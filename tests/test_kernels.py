@@ -8,7 +8,9 @@ The per-class printers that the shared sparse-terms printer replaced are
 kept here too, and must give the same text.
 """
 
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
 from math import comb, factorial
 
 import hypothesis.strategies as st
@@ -72,6 +74,22 @@ def ref_kcompose(outer, inner, n):
         out = ref_kmul(out, inner, n)
         out[0] = out[0] + c
     return out
+
+
+def ref_kinverse(a, n):
+    # Newton order-doubling on the plain loops
+    da = [a[k] * k for k in range(1, len(a))]
+    g = [_ZERO, F(1) / a[1]]
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        g = g + [_ZERO] * (prec + 1 - len(g))
+        err = ref_kcompose(a, g, prec)
+        err[1] = err[1] - 1
+        slope = ref_kcompose(da, g, prec)
+        corr = ref_kmul(err, ref_krecip(slope, prec), prec)
+        g = [g[k] - corr[k] for k in range(prec + 1)]
+    return g
 
 
 def ref_weyl_mul(u, v):
@@ -184,14 +202,37 @@ def ref_sparse_str(terms, x_name, y_name):
     return " ".join(parts)
 
 
+def ref_poly_str(p):
+    # Polynomial.__str__ on Fraction arithmetic: abs, sign test, compare to 1
+    if not p.coeffs:
+        return "0"
+    parts = []
+    for k in range(len(p.coeffs) - 1, -1, -1):
+        c = p.coeffs[k]
+        if not c:
+            continue
+        mag = abs(c)
+        if k == 0:
+            term = str(mag)
+        else:
+            base = "x" if k == 1 else f"x^{k}"
+            term = base if mag == 1 else f"{mag}*{base}"
+        if not parts:
+            parts.append(term if c > 0 else f"-{term}")
+        else:
+            parts.append(f"+ {term}" if c > 0 else f"- {term}")
+    return " ".join(parts)
+
+
 def ref_sequence_via_egf(pair, n_max):
-    h = pair.f.comp_inverse()
-    prefactor = pair.g.compose(h).reciprocal()
+    # finv and 1/g(finv) from the plain loops, not from the kernels under test
+    h = ref_kinverse(list(pair.f.coeffs), pair.f.order)
+    prefactor = ref_krecip(ref_kcompose(list(pair.g.coeffs), h, pair.order), pair.order)
     expansion = [Polynomial.one()]
     for m in range(1, n_max + 1):
         acc = Polynomial.zero()
         for k in range(1, m + 1):
-            hk = h.coeffs[k]
+            hk = h[k]
             if hk:
                 acc = acc + Polynomial.monomial(1, hk * k) * expansion[m - k]
         expansion.append(acc.scale(F(1, m)))
@@ -199,7 +240,7 @@ def ref_sequence_via_egf(pair, n_max):
     for n in range(n_max + 1):
         gn = Polynomial.zero()
         for k in range(n + 1):
-            rk = prefactor.coeffs[k]
+            rk = prefactor[k]
             if rk:
                 gn = gn + expansion[n - k].scale(rk)
         polys.append(gn.scale(factorial(n)))
@@ -245,40 +286,62 @@ def test_krecip_matches_fraction_loop_on_the_catalog():
             assert _krecip(a, series.order) == ref_krecip(a, series.order)
 
 
-def ref_kinverse(a, n):
-    # Newton order-doubling on the plain loops
-    da = [a[k] * k for k in range(1, len(a))]
-    g = [_ZERO, F(1) / a[1]]
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        g = g + [_ZERO] * (prec + 1 - len(g))
-        err = ref_kcompose(a, g, prec)
-        err[1] = err[1] - 1
-        slope = ref_kcompose(da, g, prec)
-        corr = ref_kmul(err, ref_krecip(slope, prec), prec)
-        g = [g[k] - corr[k] for k in range(prec + 1)]
-    return g
-
-
 def test_kcompose_and_kinverse_match_fraction_loop_on_the_catalog():
     # large, growing denominators through the whole Horner loop
+    for label, order in product(
+        ("hermite", "laguerre", "bessel", "bell", "lower_factorial", "hahn", "idempotent"),
+        (24, 32),
+    ):
+        pair = family(label, order).pair
+        f, g = list(pair.f.coeffs), list(pair.g.coeffs)
+        finv = _kinverse(f, order)
+        assert finv == ref_kinverse(f, order), (label, order)
+        assert _kcompose(g, finv, order) == ref_kcompose(g, finv, order), (label, order)
+        assert _kcompose(finv, f, order) == [_ZERO, F(1)] + [_ZERO] * (order - 1), (label, order)
+
+
+def test_comp_inverse_makes_one_composition_per_newton_step(monkeypatch):
+    # the Newton step takes 1/a'(g) as g', so it composes once and never
+    # takes a reciprocal; order 48 doubles 1 -> 2 -> 4 -> 8 -> 16 -> 32 -> 48
+    calls = Counter()
+    kernels = {"_kcompose": _kcompose, "_krecip": _krecip}
+
+    def counting(name):
+        def counted(*args):
+            calls[name] += 1
+            return kernels[name](*args)
+
+        return counted
+
     for label in ("hermite", "laguerre", "bessel", "bell", "lower_factorial", "hahn",
                   "idempotent"):
-        pair = family(label, 24).pair
-        f, g = list(pair.f.coeffs), list(pair.g.coeffs)
-        finv = _kinverse(f, 24)
-        assert finv == ref_kinverse(f, 24), label
-        assert _kcompose(g, finv, 24) == ref_kcompose(g, finv, 24), label
-        assert _kcompose(finv, f, 24) == [_ZERO, F(1)] + [_ZERO] * 23, label
+        f = family(label, 48).pair.f
+        with monkeypatch.context() as patch:
+            for name in kernels:
+                patch.setattr(f"sheffer.series.{name}", counting(name))
+            f.comp_inverse()
+        assert calls == {"_kcompose": 6}, label
+        calls.clear()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(coefficients, min_size=1, max_size=8), st.lists(coefficients, max_size=8))
-def test_kcompose_matches_fraction_loop(outer, inner_tail):
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(coefficients, max_size=8),
+    st.lists(coefficients, max_size=8),
+    st.integers(0, 10),
+)
+# an outer longer than n + 1 and one shorter, with a zero linear inner term
+@example([F(1), F(-2), F(3, 5), F(7)], [_ZERO, F(-1, 3)], 1)
+@example([F(2), F(1, 9)], [_ZERO, F(-4)], 6)
+@example([F(1), F(1), F(1)], [_ZERO, _ZERO, F(5, 2)], 5)
+# trailing zeros on the inner series
+@example([F(3), F(-1), F(2)], [_ZERO, F(1, 2), _ZERO, _ZERO], 4)
+def test_kcompose_matches_fraction_loop(outer, inner_tail, n):
     inner = [_ZERO] + inner_tail
-    n = len(outer) - 1
-    assert _kcompose(outer, inner, n) == ref_kcompose(outer, inner, n)
+    out = _kcompose(outer, inner, n)
+    assert out == ref_kcompose(outer, inner, n)
+    assert len(out) == n + 1
+    assert all(type(c) is F for c in out)
 
 
 @settings(max_examples=40, deadline=None)
@@ -446,6 +509,17 @@ def test_sparse_printer_matches_the_per_class_printers(terms):
     assert repr(b) == f"BivariatePolynomial({b.terms!r})"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([F(1), F(-1), _ZERO]), coefficients), max_size=8))
+@example([])
+@example([F(-1)])
+@example([_ZERO, F(-1)])
+@example([F(1), _ZERO, F(-1)])
+def test_polynomial_printer_matches_the_fraction_printer(coeffs):
+    p = Polynomial.from_coeffs(coeffs)
+    assert str(p) == ref_poly_str(p)
+
+
 def test_bivar_operator_prints_its_four_variables():
     op = BivarOperator({(1, 0, 0, 0): 1, (0, 2, 1, 0): F(-3, 2), (0, 0, 0, 0): -1})
     assert str(op) == "-1 + X_x - 3/2*D_x^2*X_y"
@@ -462,10 +536,12 @@ def test_riordan_columns_match_the_expansion(pair, n_max):
 
 
 def test_riordan_columns_match_the_expansion_on_the_catalog():
-    for label in ("hermite", "laguerre", "bessel", "bell", "lower_factorial", "hahn",
-                  "idempotent"):
-        pair = family(label, 20).pair
-        assert sequence_via_egf(pair, 20).polys == ref_sequence_via_egf(pair, 20).polys
+    for label, order in product(
+        ("hermite", "laguerre", "bessel", "bell", "lower_factorial", "hahn", "idempotent"),
+        (20, 32),
+    ):
+        pair = family(label, order).pair
+        assert sequence_via_egf(pair, order).polys == ref_sequence_via_egf(pair, order).polys
 
 
 def test_sequence_via_egf_empty_and_constant():
