@@ -48,20 +48,9 @@ from .sequences import (
 )
 from .catalog import FAMILY_LABELS, FamilyEntry, egf_eval, family, oracle_polys
 from .normord import (
-    CoherentParams,
-    FockSpace,
     NormallyOrderedSeries,
-    exp_element_coherent,
-    exp_element_coherent_closed,
-    exp_element_state,
-    exp_element_state_operator,
-    exp_element_vac,
-    fock_verify,
-    mono_element,
-    mono_element_operator,
     normal_order_lhs,
     normal_order_rhs,
-    overlap,
     verify_normal_order,
 )
 from .multivar import (
@@ -76,3 +65,26 @@ from .multivar import (
 )
 
 __version__ = "0.1.0"
+
+# resolved on first access, so that ``import sheffer`` does not load numpy
+_FOCK_NAMES = frozenset({
+    "CoherentParams",
+    "FockSpace",
+    "exp_element_coherent",
+    "exp_element_coherent_closed",
+    "exp_element_state",
+    "exp_element_state_operator",
+    "exp_element_vac",
+    "fock_verify",
+    "mono_element",
+    "mono_element_operator",
+    "overlap",
+})
+
+
+def __getattr__(name):
+    if name in _FOCK_NAMES:
+        from . import fock
+
+        return getattr(fock, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,7 +4,11 @@ Each entry carries the defining pair (f, g) as exact series, a closed-form
 generating-function evaluator, closed-form complex maps for f, its
 compositional inverse and g (used by the Fock verifier at arguments beyond
 the series trust radius), an independent polynomial oracle where a
-classical one exists, and documented numeric guards.
+classical one exists, and documented numeric guards. The maps and
+evaluators are plain ``cmath``: this module imports nothing from the
+numeric Fock layer (``sheffer.fock``), which reads the maps and guards
+from the entries. The discrepancies recorded in an entry's ``notes`` are
+decided numerically by the coherent suite (``suites._adjudication_rows``).
 
 Only f is printed in the usual operator tables; every g here is derived
 from the generating function's prefactor (prefactor = 1/g(finv(t)), so
@@ -34,7 +38,6 @@ from math import comb, factorial
 from typing import Callable, Optional
 
 from .errors import GuardExceeded, UnknownFamily
-from .normord import compile_pair, exp_element_coherent_closed, overlap
 from .sequences import ShefferPair, sequence_via_egf
 from .series import (
     Polynomial,
@@ -321,31 +324,3 @@ def egf_eval(label: str, lam: complex, x: complex) -> complex:
             f"|lambda| = {abs(lam):.6g} exceeds {label} guard {entry.guard_radius:.6g}"
         )
     return entry.closed_egf(complex(lam), complex(x))
-
-
-# -- adjudication helpers (catalog-specific closed-form variants) -----------
-
-
-def laguerre_moment_variants(zstar: complex, n: int) -> dict:
-    """Both printed indexings of the laguerre vacuum moments, as multiples of <z|0>.
-
-    With s_n = n!*L_n, the alternative n!*L_{n-1}(z*) equals n * s_{n-1}(z*).
-    """
-    compiled = compile_pair(family("laguerre", max(16, n + 1)).pair)
-    return {
-        "n_factorial_L_n": compiled.mono_element(n, 0, zstar),
-        "n_factorial_L_n_minus_1": n * compiled.mono_element(n - 1, 0, zstar),
-    }
-
-
-def hahn_coherent_variants(z: complex, zp: complex, lam: complex) -> dict:
-    """Both exponent readings of the hahn coherent matrix element (with overlap)."""
-    composed = cmath.atan(lam + cmath.tan(zp))
-    prefactor = cmath.cos(composed) / cmath.cos(zp)
-    general = exp_element_coherent_closed(_MAPS["hahn"], z, zp, lam)
-    variant = (
-        prefactor
-        * cmath.exp(z.conjugate() * (cmath.atan(lam * cmath.tan(zp)) - zp))
-        * overlap(z, zp)
-    )
-    return {"arctan_lambda_plus_tan": general, "arctan_lambda_times_tan": variant}

@@ -19,6 +19,7 @@ LAMBDA_ORDER, A_ORDER, CUTOFF, TOL, FORMAT, DRAWS, SEED.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -30,14 +31,14 @@ from dataclasses import dataclass, field
 from . import suites
 from .catalog import FAMILY_LABELS, family
 from .errors import DomainError, ParseError, ShefferError, UnknownFamily
-from .normord import (
+from .fock import (
     CoherentParams,
     check_coherent_guards,
     exp_element_coherent_closed,
     fock_verify,
-    normal_order_lhs,
     overlap,
 )
+from .normord import normal_order_lhs
 from .sequences import ShefferPair, sequence_via_egf, sheffer_coeffs
 from .series import (
     TruncatedSeries,
@@ -414,10 +415,15 @@ def _emit(payload, fmt: str, columns=None, out=None):
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+        value = complex(float(parts[0]), 0.0)
+    elif len(parts) == 2:
+        value = complex(float(parts[0]), float(parts[1]))
+    else:
+        raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    # the guards compare |value| against a radius, which NaN never exceeds
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected finite RE and IM, got {text!r}")
+    return value
 
 
 def _resolve_pair(args, order: int):

@@ -1,394 +1,28 @@
-"""Boson normal ordering and coherent-state matrix elements.
+"""Boson normal ordering of exp(lambda*M), in exact arithmetic.
 
 Under the correspondence X <-> a-dagger, D <-> a, the raising operator of a
 Sheffer pair is linear in a-dagger, and exp(lambda*M) has an exactly
-computable normally ordered form. This module provides:
-
-* closed-form coherent-state matrix elements of M^n and exp(lambda*M),
-  and the series route for <z|exp(lambda*M)|z'> that pairs without closed
-  maps rely on (``exp_element_coherent``): the paper's
-  g(z')/g(c) exp(z*(c - z')) <z|z'> with c = finv(lambda + f(z')), found by
-  complex Newton on the truncated f and returned with an embedded relative
-  error estimate from the same evaluation at three quarters of the order;
-* the normally ordered expansion of exp(lambda*M) built two independent
-  ways: the operator powers M^n, each the previous one times the X-linear
-  M from the right (``normal_order_lhs``), and the pair's finv and
-  prefactor 1/g(finv) evaluated at lambda + f(a) by a Taylor shift over
-  one table of the powers of f(a) (``normal_order_rhs``), with exact
-  term-by-term comparison;
-* a numeric verifier on truncated Fock-space matrices.
-
-Everything the closed forms and the verifier need from a pair that does not
-depend on the coherent-state parameters sits in one ``CompiledPair``, built
-once per pair (``compile_pair`` memoizes on the pair) in exact arithmetic and
-rounded to complex: finv and 1/g(finv), the sequence s_n, the chains
-M^k x^l from one raising operator at the top usable degree, the exact
-k = 1/f' and h*k with binomial-weighted matrices for their Taylor shift,
-the truncated f, f' and g of the coherent series route, and the image of
-M for each Fock cutoff. The exact series among these
-(finv, 1/g(finv), k and h*k) are the pair's core from ``sequences``;
-``normal_order_rhs`` reads finv and 1/g(finv) from it too, and
-``normal_order_lhs`` reads k and h*k through ``build_M``. A verifier draw
-then runs on floating point alone: Horner sums, numpy products, and the
-recentred image of M as one matrix-vector product with the powers of z'.
-``FockSpace`` builds the images of a-series and exp(t*adag) entrywise from
-the factors sqrt((i+m)!/i!) instead of matrix products.
-
-On the number-state closed forms: the printed rule
-<z|M^n|l> = s_{n+l}(z*)/sqrt(l!) <z|0> is implemented literally by
-``mono_element``, but it presumes s_l(x) = x^l and fails for general pairs
-at l >= 1. The operator route ``mono_element_operator`` evaluates
-(M^n x^l)(z*)/sqrt(l!), which is what the Fock verifier confirms; both are
-compared by the adjudication rows of ``fock_verify``.
+computable normally ordered form, built here two independent ways: the
+operator powers M^n, each the previous one times the X-linear M from the
+right (``normal_order_lhs``), and the pair's finv and prefactor 1/g(finv)
+evaluated at lambda + f(a) by a Taylor shift over one table of the powers
+of f(a) (``normal_order_rhs``), with exact term-by-term comparison
+(``verify_normal_order``). The floating-point coherent-state layer is
+``sheffer.fock``.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
 from math import comb, factorial, gcd
 from operator import add, mul
 
-import numpy as np
-
-from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded
-from .series import Polynomial, SeriesValue, TruncatedSeries, _common_denominator, _iconv
-from .sequences import (
-    ShefferPair,
-    _check_degree,
-    build_M,
-    pair_finv,
-    pair_ladder,
-    pair_prefactor,
-    sequence_via_egf,
-)
+from .errors import OrderExceeded
+from .series import TruncatedSeries, _common_denominator, _iconv
+from .sequences import ShefferPair, _check_degree, build_M, pair_finv, pair_prefactor
 from .weyl import WeylElement
 
 _ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class CoherentParams:
-    """Arguments of a coherent-state matrix element <z| ... |z'>."""
-
-    z: complex
-    zp: complex
-    lam: complex
-
-
-def overlap(z: complex, zp: complex) -> complex:
-    """Coherent-state overlap <z|z'>."""
-    return cmath.exp(z.conjugate() * zp - abs(z) ** 2 / 2 - abs(zp) ** 2 / 2)
-
-
-# ---------------------------------------------------------------------------
-# the compiled pair: draw-independent data, built once per pair
-# ---------------------------------------------------------------------------
-
-
-def _rounded(coeffs) -> list:
-    return [complex(c) for c in coeffs]
-
-
-def _horner(coeffs, z) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
-def _powers(t: complex, count: int) -> np.ndarray:
-    """[1, t, t^2, ..., t^(count-1)] as a complex array."""
-    return np.cumprod(np.concatenate(([1 + 0j], np.full(count - 1, complex(t)))))
-
-
-def _shift_weights(coeffs) -> np.ndarray:
-    """Row j, column p: C(j+p, j) c_{j+p}, rounded once from the exact product.
-
-    The coefficients of c(x + t) are this matrix times (t^p)_p.
-    """
-    size = len(coeffs)
-    out = np.zeros((size, size))
-    for j in range(size):
-        for p in range(size - j):
-            out[j, p] = coeffs[j + p] * comb(j + p, j)
-    return out
-
-
-def check_coherent_guards(zp: complex, lam: complex, z_guard: float, lam_guard: float):
-    """Raise GuardExceeded when |z'| or |lambda| lies past its trust radius."""
-    if abs(zp) > z_guard:
-        raise GuardExceeded(f"|z'| = {abs(zp):.6g} exceeds guard {z_guard:.6g}")
-    if abs(lam) > lam_guard:
-        raise GuardExceeded(f"|lambda| = {abs(lam):.6g} exceeds guard {lam_guard:.6g}")
-
-
-_NEWTON_STEPS = 64
-
-
-def _coherent_factor(part, zstar: complex, zp: complex, lam: complex) -> complex:
-    """g(z')/g(c) exp(z*(c - z')) on one truncation (f, f', g), f(c) = lam + f(z').
-
-    Newton runs from c = z' until a step falls below 1e-14 (1 + |c|); at
-    the quadratic rate the c it leaves is far closer than that last step.
-    """
-    f, df, g = part
-    target = lam + _horner(f, zp)
-    c = zp
-    for _ in range(_NEWTON_STEPS):
-        step = (_horner(f, c) - target) / _horner(df, c)
-        c -= step
-        if abs(step) <= 1e-14 * (1 + abs(c)):
-            return _horner(g, zp) / _horner(g, c) * cmath.exp(zstar * (c - zp))
-    raise GuardExceeded(
-        f"Newton on f(c) = {target} from c = {zp} did not converge in {_NEWTON_STEPS} steps"
-    )
-
-
-class CompiledPair:
-    """What the closed forms and the Fock verifier need from one pair.
-
-    None of it depends on the coherent-state parameters. Each part is built
-    on first use, in exact arithmetic, and kept rounded to complex, so a
-    call does only floating-point Horner sums and numpy products. A Horner
-    sum over the rounded coefficients gives the same bits as Horner
-    evaluation of the exact polynomial at a complex point.
-    """
-
-    def __init__(self, pair: ShefferPair):
-        self.pair = pair
-        self.order = pair.order
-        self._chains: dict = {}
-        self._images: dict = {}
-
-    @cached_property
-    def _vacuum(self):
-        # finv and 1/g(finv): <z|exp(lam*M)|0>/<z|0> = exp(z* finv(lam)) / g(finv(lam))
-        finv, prefactor = pair_finv(self.pair), pair_prefactor(self.pair)
-        return _rounded(finv.coeffs), _rounded(prefactor.coeffs)
-
-    @cached_property
-    def _sequence(self) -> list:
-        return [_rounded(p.coeffs) for p in sequence_via_egf(self.pair, self.order).polys]
-
-    @cached_property
-    def _raising(self) -> WeylElement:
-        # M^k x^l is the same polynomial at every D-truncation >= k + l, so
-        # one M at the top usable degree serves every chain
-        return build_M(self.pair, self.order - 1)
-
-    def _chain(self, l: int) -> list:
-        """Rounded M^k x^l for k = 0 .. order-1-l."""
-        if l < 0:
-            raise IndexOutOfRange(f"number state |{l}> does not exist")
-        chain = self._chains.get(l)
-        if chain is None:
-            poly = Polynomial.monomial(l)
-            chain = [_rounded(poly.coeffs)]
-            for _ in range(self.order - 1 - l):
-                poly = self._raising.apply(poly)
-                chain.append(_rounded(poly.coeffs))
-            self._chains[l] = chain
-        return chain
-
-    @cached_property
-    def _coherent_parts(self) -> tuple:
-        # f, f' and g rounded at orders N and 3N/4: the value on the lower
-        # truncation is the coherent route's embedded error estimate
-        parts = []
-        for m in (self.order, 3 * self.order // 4):
-            f = self.pair.f.coeffs[: m + 1]
-            df = [c * k for k, c in enumerate(f) if k]
-            parts.append((_rounded(f), _rounded(df), _rounded(self.pair.g.coeffs[: m + 1])))
-        return tuple(parts)
-
-    @cached_property
-    def _ladder_shift_weights(self):
-        # M = adag*k(a) - (h*k)(a) with k = 1/f' and h = g'/g
-        return tuple(_shift_weights(ser.coeffs) for ser in pair_ladder(self.pair))
-
-    # -- closed forms (the public functions below delegate here) --------------
-
-    def mono_element(self, n: int, l: int, zstar: complex) -> complex:
-        if not 0 <= n + l <= self.order:
-            raise OrderExceeded(f"need s_{n + l}, series order is {self.order}")
-        return _horner(self._sequence[n + l], complex(zstar)) / math.sqrt(factorial(l))
-
-    def mono_element_operator(self, n: int, l: int, zstar: complex) -> complex:
-        if n + l > self.order - 1:
-            raise OrderExceeded(f"need operator exactness to degree {n + l}")
-        if n < 0:
-            raise IndexOutOfRange(f"negative power M^{n}")
-        return _horner(self._chain(l)[n], complex(zstar)) / math.sqrt(factorial(l))
-
-    def exp_element_vac(self, lam: complex, zstar: complex, guard: float) -> complex:
-        if abs(lam) > guard:
-            raise GuardExceeded(f"|lambda| = {abs(lam):.6g} exceeds guard {guard:.6g}")
-        finv, prefactor = self._vacuum
-        try:
-            value = _horner(prefactor, lam) * cmath.exp(complex(zstar) * _horner(finv, lam))
-            if cmath.isfinite(value):
-                return value
-        except OverflowError:
-            pass
-        raise GuardExceeded(f"vacuum element at lam={lam} overflows complex floating point")
-
-    def exp_element_state(self, lam: complex, zstar: complex, l: int, guard: float) -> complex:
-        if l > self.order:
-            raise OrderExceeded(f"l = {l} exceeds series order {self.order}")
-        if l < 0:
-            raise IndexOutOfRange(f"number state |{l}> does not exist")
-        if abs(lam) > guard:
-            raise GuardExceeded(f"|lambda| = {abs(lam):.6g} exceeds guard {guard:.6g}")
-        zs = complex(zstar)
-        acc = 0j
-        power = 1.0 + 0j
-        for m in range(self.order - l + 1):
-            acc += _horner(self._sequence[m + l], zs) * power / factorial(m)
-            power *= lam
-        return acc / math.sqrt(factorial(l))
-
-    def exp_element_state_operator(
-        self, lam: complex, zstar: complex, l: int, guard: float
-    ) -> complex:
-        if abs(lam) > guard:
-            raise GuardExceeded(f"|lambda| = {abs(lam):.6g} exceeds guard {guard:.6g}")
-        k_top = self.order - 1
-        if l > k_top:
-            raise OrderExceeded(f"l = {l} exceeds usable degree {k_top}")
-        zs = complex(zstar)
-        chain = self._chain(l)
-        acc = _horner(chain[0], zs)
-        power = 1.0 + 0j
-        for k in range(1, k_top - l + 1):
-            power *= lam
-            acc += _horner(chain[k], zs) * power / factorial(k)
-        return acc / math.sqrt(factorial(l))
-
-    def exp_element_coherent(
-        self, z: complex, zp: complex, lam: complex, lam_guard: float, z_guard: float
-    ) -> SeriesValue:
-        check_coherent_guards(zp, lam, z_guard, lam_guard)
-        zp, zstar = complex(zp), complex(z).conjugate()
-        try:
-            value, low = (_coherent_factor(p, zstar, zp, lam) for p in self._coherent_parts)
-            estimate = abs(value - low) / abs(value)
-            value *= overlap(z, zp)
-            if cmath.isfinite(value) and not math.isnan(estimate):
-                return SeriesValue(value, estimate)
-        except (OverflowError, ZeroDivisionError):
-            pass
-        raise GuardExceeded(
-            f"coherent element at z'={zp}, lam={lam} divides by zero or overflows"
-        )
-
-    # -- Fock-space images of M ----------------------------------------------
-
-    def m_image(self, space: "FockSpace") -> np.ndarray:
-        """Cutoff-dim image of M, built once per cutoff; read-only."""
-        image = self._images.get(space.dim)
-        if image is None:
-            k_ser, hk_ser = pair_ladder(self.pair)
-            image = space._ladder_image(k_ser.coeffs, hk_ser.coeffs)
-            image.setflags(write=False)
-            self._images[space.dim] = image
-        return image
-
-    def shifted_m_image(self, space: "FockSpace", shift: complex) -> np.ndarray:
-        """Image of M recentred a -> a + shift, with the Taylor shift in complex."""
-        k_weights, hk_weights = self._ladder_shift_weights
-        powers = _powers(shift, len(k_weights))
-        return space._ladder_image(k_weights @ powers, hk_weights @ powers)
-
-
-# pairs are immutable values, so memoizing on them is safe
-@lru_cache(maxsize=256)
-def compile_pair(pair: ShefferPair) -> CompiledPair:
-    """The pair's compiled data; one object per distinct pair."""
-    return CompiledPair(pair)
-
-
-# ---------------------------------------------------------------------------
-# closed-form matrix elements (all returned without the <z|0> / <z|z'> factor
-# unless stated otherwise)
-# ---------------------------------------------------------------------------
-
-
-def mono_element(pair: ShefferPair, n: int, l: int, zstar: complex) -> complex:
-    """Printed closed form s_{n+l}(z*)/sqrt(l!), as a multiple of <z|0>."""
-    return compile_pair(pair).mono_element(n, l, zstar)
-
-
-def mono_element_operator(pair: ShefferPair, n: int, l: int, zstar: complex) -> complex:
-    """Operator-route closed form (M^n x^l)(z*)/sqrt(l!), multiple of <z|0>."""
-    return compile_pair(pair).mono_element_operator(n, l, zstar)
-
-
-def exp_element_vac(
-    pair: ShefferPair, lam: complex, zstar: complex, guard: float = 0.5
-) -> complex:
-    """<z|exp(lam*M)|0> / <z|0> via the generating-function series."""
-    return compile_pair(pair).exp_element_vac(lam, zstar, guard)
-
-
-def exp_element_state(
-    pair: ShefferPair, lam: complex, zstar: complex, l: int, guard: float = 0.5
-) -> complex:
-    """Printed closed form for <z|exp(lam*M)|l> / <z|0>.
-
-    This is the l-th lambda-derivative of the generating function over
-    sqrt(l!); like ``mono_element`` it presumes s_l(x) = x^l.
-    """
-    return compile_pair(pair).exp_element_state(lam, zstar, l, guard)
-
-
-def exp_element_state_operator(
-    pair: ShefferPair, lam: complex, zstar: complex, l: int, guard: float = 0.5
-) -> complex:
-    """Operator-route value of <z|exp(lam*M)|l> / <z|0> (truncated in lambda)."""
-    return compile_pair(pair).exp_element_state_operator(lam, zstar, l, guard)
-
-
-def exp_element_coherent(
-    pair: ShefferPair,
-    z: complex,
-    zp: complex,
-    lam: complex,
-    *,
-    lam_guard: float = 0.5,
-    z_guard: float = 0.5,
-) -> SeriesValue:
-    """<z|exp(lam*M)|z'> including the overlap factor, on the truncated pair.
-
-    Evaluates g(z')/g(c) * exp(z*(c - z')) * <z|z'> with c = finv(lam + f(z'))
-    on the pair's polynomials f_N and g_N, N the pair order: complex Newton
-    solves f_N(c) = lam + f_N(z') from c = z'. The same value with f and g
-    cut to order 3N/4 gives the returned ``SeriesValue(value, tail)`` its
-    tail, the relative estimate |v_N - v_3N/4| / |v_N|; ``fock_verify``
-    refuses the value with GuardExceeded when that exceeds its ``tol``.
-    Newton that does not converge, a zero slope f_N'(c) or g_N(c), and a
-    value that overflows complex floating point raise GuardExceeded, as do
-    |z'| and |lambda| past ``z_guard`` and ``lam_guard``.
-    """
-    return compile_pair(pair).exp_element_coherent(z, zp, lam, lam_guard, z_guard)
-
-
-def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> complex:
-    """<z|exp(lam*M)|z'> including overlap, from closed-form maps.
-
-    ``maps`` provides complex callables f, finv, g (see catalog.ClosedMaps).
-    """
-    w = lam + maps.f(zp)
-    c = maps.finv(w)
-    return (
-        maps.g(zp)
-        / maps.g(c)
-        * cmath.exp(z.conjugate() * (c - zp))
-        * overlap(z, zp)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,273 +262,4 @@ def verify_normal_order(pair: ShefferPair, lam_order: int, a_order: int) -> list
                         "pass": left[k] == right[k],
                     }
                 )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# numeric verification on truncated Fock space
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=8)
-def _exp_adag_table(dim: int):
-    """sqrt((n+j)!/n!)/j! at entry (n+j, n), and j there; zero above the diagonal."""
-    table = np.zeros((dim, dim))
-    flat = table.reshape(-1)
-    column = np.ones(dim)
-    for j in range(dim):
-        if j:
-            column = column[:-1] * np.sqrt(np.arange(j, dim)) / j
-        flat[j * dim :: dim + 1] = column
-    rows = np.arange(dim)
-    power_index = np.maximum(rows[:, None] - rows[None, :], 0)
-    table.setflags(write=False)
-    power_index.setflags(write=False)
-    return table, power_index
-
-
-class FockSpace:
-    """Dense cutoff-d images of the boson operators and helper numerics."""
-
-    def __init__(self, dim: int):
-        if dim < 2:
-            raise ValueError("Fock cutoff must be >= 2")
-        self.dim = dim
-        self._roots = np.sqrt(np.arange(2 * dim, dtype=float))
-        root = self._roots[1:dim]
-        self.a = np.diag(root, k=1).astype(complex)
-        self.adag = np.diag(root, k=-1).astype(complex)
-
-    def number_vec(self, l: int) -> np.ndarray:
-        if l >= self.dim:
-            raise CutoffTooSmall(f"|{l}> outside cutoff {self.dim}")
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[l] = 1.0
-        return vec
-
-    def coherent_vec(self, z: complex):
-        """Truncated coherent vector and its norm-tail estimate."""
-        vec = np.empty(self.dim, dtype=complex)
-        amp = math.exp(-abs(z) ** 2 / 2)
-        vec[0] = amp
-        for n in range(1, self.dim):
-            vec[n] = vec[n - 1] * z / math.sqrt(n)
-        d = self.dim
-        log_tail = (
-            -abs(z) ** 2 / 2
-            + d * math.log(max(abs(z), 1e-300))
-            - 0.5 * math.lgamma(d + 1)
-        )
-        return vec, math.exp(min(log_tail, 300.0))
-
-    def series_on_a(self, coeffs) -> np.ndarray:
-        """Image of sum c_j a^j; exact at the cutoff since a^dim = 0.
-
-        Superdiagonal j holds c_j sqrt((i+j)!/i!), multiplied out from c_j
-        one factor sqrt(i+t) at a time, in the order a Horner scheme on the
-        matrix of a rounds them.
-        """
-        dim = self.dim
-        diags = np.repeat(np.array(_rounded(coeffs)[:dim], dtype=complex)[:, None], dim, axis=1)
-        for t in range(1, len(diags)):
-            diags[t:] *= self._roots[t : t + dim]
-        out = np.zeros((dim, dim), dtype=complex)
-        flat = out.reshape(-1)
-        for j, diag in enumerate(diags):
-            flat[j : j + (dim - j) * (dim + 1) : dim + 1] = diag[: dim - j]
-        return out
-
-    def _ladder_image(self, k_coeffs, hk_coeffs) -> np.ndarray:
-        """Image of adag*k(a) - (h*k)(a); row i of adag*X is sqrt(i) X[i-1]."""
-        k_image = self.series_on_a(k_coeffs)
-        out = np.zeros_like(k_image)
-        out[1:] = self._roots[1 : self.dim, None] * k_image[:-1]
-        out -= self.series_on_a(hk_coeffs)
-        return out
-
-    def weyl_matrix(self, element: WeylElement) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), c in element.terms.items():
-            out += complex(c) * (
-                np.linalg.matrix_power(self.adag, i) @ np.linalg.matrix_power(self.a, j)
-            )
-        return out
-
-    def pair_matrix(self, pair: ShefferPair, shift: complex | None = None) -> np.ndarray:
-        """Image of M = adag*k(a) - (h*k)(a), optionally recentred a -> a + shift.
-
-        The unshifted image is built once per pair and cutoff and returned
-        read-only.
-        """
-        compiled = compile_pair(pair)
-        if shift is None or shift == 0:
-            return compiled.m_image(self)
-        return compiled.shifted_m_image(self, complex(shift))
-
-    def exp_adag(self, t: complex) -> np.ndarray:
-        """Image of exp(t*adag): entry (n+j, n) is t^j sqrt((n+j)!/n!)/j!."""
-        table, power_index = _exp_adag_table(self.dim)
-        return table * _powers(t, self.dim)[power_index]
-
-    def apply_exp(self, mat: np.ndarray, lam: complex, vec: np.ndarray):
-        """exp(lam*mat) @ vec by scaled Taylor summation on the vector.
-
-        The scaling power comes from the effective norm ||lam*mat*vec||/||vec||
-        rather than the raw matrix norm, which is dominated by high
-        occupation numbers irrelevant to coherent-supported states.
-        Returns (vector, tail_estimate).
-        """
-        nv = np.linalg.norm(vec)
-        if nv == 0:
-            return vec.copy(), 0.0
-        eff = abs(lam) * np.linalg.norm(mat @ vec) / nv
-        s = 0
-        while eff > 1.0 and s < 10:
-            eff /= 2.0
-            s += 1
-        reps = 1 << s
-        lam_s = lam / reps
-        out = vec.copy()
-        tail = 0.0
-        for _ in range(reps):
-            term = out
-            acc = out.copy()
-            for k in range(1, 400):
-                term = lam_s * (mat @ term) / k
-                acc = acc + term
-                tail = float(np.linalg.norm(term))
-                if tail <= 1e-17 * np.linalg.norm(acc):
-                    break
-            else:
-                raise CutoffTooSmall("matrix exponential Taylor sum did not converge")
-            out = acc
-        return out, tail * reps
-
-
-def _batched_row(identity: str, pairs, tol: float, tail: float) -> dict:
-    """Build a report row from (numeric, closed) value pairs."""
-    abs_errs = [abs(n - c) for n, c in pairs]
-    scale = max((abs(c) for _, c in pairs), default=0.0)
-    max_abs = max(abs_errs, default=0.0)
-    max_rel = max_abs / max(scale, 1e-300)
-    return {
-        "identity": identity,
-        "max_abs_err": max_abs,
-        "max_rel_err": max_rel,
-        "tail_estimate": tail,
-        "pass": bool(max_rel <= tol),
-    }
-
-
-def fock_verify(
-    pair: ShefferPair,
-    params: CoherentParams,
-    cutoff: int = 64,
-    tol: float = 1e-8,
-    *,
-    maps=None,
-    z_guard: float = 0.5,
-    lam_guard: float = 0.25,
-    moments_max: int = 6,
-    l_max: int = 2,
-) -> list:
-    """Numeric check of the coherent-state matrix elements at one parameter point.
-
-    Builds cutoff-d images of the boson operators, assembles M from the
-    pair's truncated series, and compares matrix elements against the
-    closed forms. Returns report rows; the adjudication rows compare the
-    printed number-state rule against the operator route and always carry
-    pass=True with a ``matches_printed`` field (completed, not asserted).
-    """
-    if cutoff < 32:
-        raise CutoffTooSmall("Fock cutoff must be >= 32")
-    z, zp, lam = params.z, params.zp, params.lam
-    if abs(z) > 1 or abs(zp) > 1:
-        raise GuardExceeded("|z| and |z'| must be <= 1")
-    check_coherent_guards(zp, lam, z_guard, lam_guard)
-
-    space = FockSpace(cutoff)
-    compiled = compile_pair(pair)
-    z_vec, z_tail = space.coherent_vec(z)
-    zp_vec, zp_tail = space.coherent_vec(zp)
-    tail = max(z_tail, zp_tail)
-    if tail > tol:
-        raise CutoffTooSmall(f"coherent tail {tail:.3g} above tolerance {tol:.3g}")
-    m_mat = compiled.m_image(space)
-    vac_factor = cmath.exp(-abs(z) ** 2 / 2)  # <z|0>
-    zs = z.conjugate()
-    rows = []
-
-    # overlap sanity
-    num = complex(np.vdot(z_vec, zp_vec))
-    rows.append(_batched_row("overlap", [(num, overlap(z, zp))], tol, tail))
-
-    # <z|M^n|l> for l = 0 (printed form is exact here) and l >= 1 (operator route)
-    for l in range(0, l_max + 1):
-        vals = []
-        printed = []
-        w = space.number_vec(l)
-        for n in range(1, moments_max + 1):
-            w = m_mat @ w
-            num = complex(np.vdot(z_vec, w))
-            closed = compiled.mono_element_operator(n, l, zs) * vac_factor
-            vals.append((num, closed))
-            printed.append((num, compiled.mono_element(n, l, zs) * vac_factor))
-        name = "moments_vacuum" if l == 0 else f"moments_state_operator_l{l}"
-        rows.append(_batched_row(name, vals, tol, tail))
-        if l > 0:
-            adjudicated = _batched_row(
-                f"adjudication:moments_state_printed_l{l}", printed, tol, tail
-            )
-            adjudicated["matches_printed"] = adjudicated.pop("pass")
-            adjudicated["pass"] = True
-            rows.append(adjudicated)
-
-    # <z|exp(lam*M)|l>
-    for l in range(0, l_max + 1):
-        vec, exp_tail = space.apply_exp(m_mat, lam, space.number_vec(l))
-        num = complex(np.vdot(z_vec, vec))
-        if l == 0:
-            closed = compiled.exp_element_vac(lam, zs, lam_guard) * vac_factor
-            rows.append(_batched_row("exp_vacuum", [(num, closed)], tol, max(tail, exp_tail)))
-        else:
-            closed = compiled.exp_element_state_operator(lam, zs, l, lam_guard) * vac_factor
-            rows.append(
-                _batched_row(
-                    f"exp_state_operator_l{l}", [(num, closed)], tol, max(tail, exp_tail)
-                )
-            )
-            printed_row = _batched_row(
-                f"adjudication:exp_state_printed_l{l}",
-                [(num, compiled.exp_element_state(lam, zs, l, lam_guard) * vac_factor)],
-                tol,
-                max(tail, exp_tail),
-            )
-            printed_row["matches_printed"] = printed_row.pop("pass")
-            printed_row["pass"] = True
-            rows.append(printed_row)
-
-    # <z|exp(lam*M)|z'>
-    vec, exp_tail = space.apply_exp(m_mat, lam, zp_vec)
-    num = complex(np.vdot(z_vec, vec))
-    if maps is not None:
-        closed = exp_element_coherent_closed(maps, z, zp, lam)
-    else:
-        closed, estimate = compiled.exp_element_coherent(z, zp, lam, lam_guard, z_guard)
-        if estimate > tol:
-            raise GuardExceeded(
-                f"coherent series estimate {estimate:.3g} above tolerance {tol:.3g}"
-            )
-    rows.append(_batched_row("exp_coherent", [(num, closed)], tol, max(tail, exp_tail)))
-
-    # recentring identity: exp(-z' adag) M exp(z' adag) = M(a + z', adag)
-    shifted = compiled.shifted_m_image(space, zp)
-    plus = space.exp_adag(zp)
-    minus = space.exp_adag(-zp)
-    pairs = []
-    for w in (space.number_vec(0), space.coherent_vec(zp / 2)[0]):
-        left = complex(np.vdot(z_vec, minus @ (m_mat @ (plus @ w))))
-        right = complex(np.vdot(z_vec, shifted @ w))
-        pairs.append((left, right))
-    rows.append(_batched_row("shift_identity", pairs, tol, tail))
     return rows

@@ -9,14 +9,18 @@ documenting findings.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .catalog import (
-    FAMILY_LABELS,
-    family,
-    hahn_coherent_variants,
-    laguerre_moment_variants,
-    oracle_polys,
+from .catalog import FAMILY_LABELS, family, oracle_polys
+from .fock import (
+    CoherentParams,
+    FockSpace,
+    compile_pair,
+    exp_element_coherent_closed,
+    fock_verify,
+    overlap,
 )
 from .multivar import (
     evolution_solution,
@@ -28,7 +32,7 @@ from .multivar import (
     theta_pi_check,
     umbral_S,
 )
-from .normord import CoherentParams, FockSpace, fock_verify, verify_normal_order
+from .normord import verify_normal_order
 from .sequences import (
     ShefferPair,
     build_M,
@@ -217,42 +221,49 @@ def _adjudication_rows(label, entry, params, cutoff, tol) -> list:
     if label not in ("laguerre", "hahn") or params is None:
         return []
     space = FockSpace(cutoff)
-    z_vec, _ = space.coherent_vec(params.z)
+    z, zp, lam = params.z, params.zp, params.lam
+    z_vec, _ = space.coherent_vec(z)
     m_mat = space.pair_matrix(entry.pair)
-    vac = np.exp(-abs(params.z) ** 2 / 2)
-    zs = params.z.conjugate()
     if label == "laguerre":
-        status = {"n_factorial_L_n": True, "n_factorial_L_n_minus_1": True}
-        w = space.number_vec(0)
-        for n in range(1, 7):
+        # vacuum moments as multiples of <z|0>; with s_n = n!*L_n, the
+        # alternative indexing n!*L_{n-1}(z*) equals n * s_{n-1}(z*)
+        identity = "adjudication:vacuum_moment_indexing"
+        s = [compile_pair(entry.pair).mono_element(n, 0, z.conjugate()) for n in range(7)]
+        vac = np.exp(-abs(z) ** 2 / 2)
+        numeric, w = [], space.number_vec(0)
+        for _ in range(6):
             w = m_mat @ w
-            numeric = complex(np.vdot(z_vec, w)) / vac
-            variants = laguerre_moment_variants(zs, n)
-            for name, value in variants.items():
-                if abs(numeric - value) > tol * max(abs(value), 1e-30):
-                    status[name] = False
-        matched = [name for name, ok in status.items() if ok]
-        return [
-            {
-                "family": label,
-                "identity": "adjudication:vacuum_moment_indexing",
-                "matches": status,
-                "decision": matched[0] if len(matched) == 1 else None,
-                "pass": len(matched) == 1,
-            }
-        ]
-    vec, _ = space.apply_exp(m_mat, params.lam, space.coherent_vec(params.zp)[0])
-    numeric = complex(np.vdot(z_vec, vec))
-    variants = hahn_coherent_variants(params.z, params.zp, params.lam)
+            numeric.append(complex(np.vdot(z_vec, w)) / vac)
+        variants = {
+            "n_factorial_L_n": s[1:],
+            "n_factorial_L_n_minus_1": [n * s[n - 1] for n in range(1, 7)],
+        }
+    else:
+        # the coherent element with overlap, read with exponent
+        # arctan(lambda + tan z') and with arctan(lambda * tan z')
+        identity = "adjudication:coherent_exponent"
+        vec, _ = space.apply_exp(m_mat, lam, space.coherent_vec(zp)[0])
+        numeric = [complex(np.vdot(z_vec, vec))]
+        prefactor = cmath.cos(cmath.atan(lam + cmath.tan(zp))) / cmath.cos(zp)
+        variant = (
+            prefactor
+            * cmath.exp(z.conjugate() * (cmath.atan(lam * cmath.tan(zp)) - zp))
+            * overlap(z, zp)
+        )
+        variants = {
+            "arctan_lambda_plus_tan": [exp_element_coherent_closed(entry.maps, z, zp, lam)],
+            "arctan_lambda_times_tan": [variant],
+        }
+    # a variant matches when it agrees with every numeric value
     status = {
-        name: bool(abs(numeric - value) <= tol * max(abs(value), 1e-30))
-        for name, value in variants.items()
+        name: all(abs(num - c) <= tol * max(abs(c), 1e-30) for num, c in zip(numeric, closed))
+        for name, closed in variants.items()
     }
     matched = [name for name, ok in status.items() if ok]
     return [
         {
             "family": label,
-            "identity": "adjudication:coherent_exponent",
+            "identity": identity,
             "matches": status,
             "decision": matched[0] if len(matched) == 1 else None,
             "pass": len(matched) == 1,

@@ -363,6 +363,31 @@ def test_matrix_element_applies_the_family_guards(capsys):
     assert "|lambda|" in err
 
 
+@pytest.mark.parametrize("value", ("nan", "inf", "0,nan"))
+@pytest.mark.parametrize("flag", ("--z", "--zp", "--lambda"))
+def test_matrix_element_rejects_non_finite_arguments(capsys, flag, value):
+    args = {"--z": "0.1", "--zp": "0.1", "--lambda": "0.05", flag: value}
+    with pytest.raises(SystemExit) as info:
+        main(["matrix-element", "--family", "hermite", *(t for kv in args.items() for t in kv)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("z", ("1e200", "1e10,1e10"))
+def test_matrix_element_overflow_is_a_guard_error(capsys, z):
+    code, out, err = run_cli(
+        capsys,
+        "matrix-element", "--family", "hermite", "--z", z, "--zp", "0.1", "--lambda", "0.01",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_matrix_element_fock_check(capsys):
     code, out, _ = run_cli(
         capsys,

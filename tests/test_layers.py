@@ -1,0 +1,77 @@
+"""The boundary between the exact layers and the numeric Fock layer.
+
+``import sheffer`` must not load numpy, and the exact modules must not
+import numpy or ``sheffer.fock``; the numeric names stay reachable from the
+package by lazy resolution.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# every public name the package exported before the Fock layer was split off
+PACKAGE_NAMES = (
+    "BadConstantTerm", "CutoffTooSmall", "DomainError", "GuardExceeded", "IndexOutOfRange",
+    "NonzeroInnerConstant", "NotInvertible", "OrderExceeded", "ParseError", "ShefferError",
+    "UnknownFamily", "ZeroConstantTerm", "BivariatePolynomial", "Polynomial", "SparseTerms",
+    "TruncatedSeries", "arctan_series", "cos_series", "exp_series", "log_series",
+    "sin_series", "sqrt_series", "tan_series", "WeylElement", "weyl_mul", "ShefferPair",
+    "ShefferSequence", "build_M", "build_P", "sequence_via_egf", "sequence_via_raising",
+    "sheffer_coeffs", "shift_pair", "verify_monomiality", "FAMILY_LABELS", "FamilyEntry",
+    "egf_eval", "family", "oracle_polys", "CoherentParams", "FockSpace",
+    "NormallyOrderedSeries", "exp_element_coherent", "exp_element_coherent_closed",
+    "exp_element_state", "exp_element_state_operator", "exp_element_vac", "fock_verify",
+    "mono_element", "mono_element_operator", "normal_order_lhs", "normal_order_rhs",
+    "overlap", "verify_normal_order", "evolution_solution", "heat_check", "hkdf",
+    "hkdf_egf_check", "hkdf_ladder_check", "pi_recursion", "theta_pi_check", "umbral_S",
+    "__version__",
+)
+
+EXACT_MODULES = ("series", "weyl", "sequences", "catalog", "normord", "multivar", "errors")
+
+
+def test_import_sheffer_loads_no_numpy_and_resolves_every_name():
+    script = f"""
+import sys
+import sheffer
+assert "numpy" not in sys.modules, "import sheffer loaded numpy"
+from sheffer import FockSpace, fock_verify
+import sheffer.fock
+assert FockSpace is sheffer.fock.FockSpace and fock_verify is sheffer.fock.fock_verify
+missing = [name for name in {PACKAGE_NAMES!r} if not hasattr(sheffer, name)]
+assert not missing, missing
+assert not hasattr(sheffer, "compile_pair")
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _imported_modules(path: Path):
+    """(module, level) for every import in the file; ``from . import x`` gives ("x", 1)."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, 0) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:
+                yield from ((alias.name, node.level) for alias in node.names)
+            else:
+                yield node.module, node.level
+
+
+@pytest.mark.parametrize("module", EXACT_MODULES)
+def test_exact_modules_import_no_numeric_layer(module):
+    banned = {"numpy", "fock", "sheffer.fock"} | ({"cmath"} if module == "normord" else set())
+    found = [
+        name for name, level in _imported_modules(SRC / "sheffer" / f"{module}.py")
+        if name.split(".")[0] in banned or name in banned
+    ]
+    assert not found, f"{module} imports {found}"

@@ -42,9 +42,9 @@ from sheffer import (
     verify_normal_order,
     weyl_mul,
 )
-from sheffer import normord, sequences, series, weyl
+from sheffer import fock, normord, sequences, series, weyl
 from sheffer.catalog import FAMILY_LABELS
-from sheffer.normord import compile_pair
+from sheffer.fock import compile_pair
 from sheffer.sequences import build_M, pair_finv, pair_ladder, pair_prefactor
 from sheffer.suites import _disk_draw, coherent_rows, rows_pass
 
@@ -300,7 +300,7 @@ def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
     params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
     guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     names = [name for name in vars(series) if name.startswith("_k")] + ["taylor_shift"]
-    for module in (series, sequences, normord):
+    for module in (series, sequences, normord, fock):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -831,7 +831,7 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(normord, "build_M", counted("build_M", build_M))
+    monkeypatch.setattr(fock, "build_M", counted("build_M", build_M))
     monkeypatch.setattr(
         TruncatedSeries, "comp_inverse", counted("comp_inverse", TruncatedSeries.comp_inverse)
     )

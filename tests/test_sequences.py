@@ -30,7 +30,7 @@ from sheffer import (
     verify_normal_order,
 )
 from sheffer import sequences
-from sheffer.normord import FockSpace, compile_pair
+from sheffer.fock import FockSpace, compile_pair
 from sheffer.suites import heat_rows, rows_pass, theta_pi_rows
 
 
