@@ -333,6 +333,9 @@ def parse_series(text: str, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+_MAX_CUTOFF = 1024
+
+
 @dataclass
 class RunConfig:
     order: int = 16
@@ -348,6 +351,9 @@ class RunConfig:
         for name in ("order", "lam_order", "a_order", "cutoff", "draws"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.cutoff > _MAX_CUTOFF:
+            # FockSpace holds dense cutoff x cutoff complex matrices: 16 MB each at 1024
+            raise ValueError(f"cutoff must be at most {_MAX_CUTOFF}, got {self.cutoff}")
         if not 0 < self.tol < 1:
             raise ValueError("tolerance must be in (0, 1)")
         if self.fmt not in ("json", "csv"):

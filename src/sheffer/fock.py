@@ -1,7 +1,8 @@
 """Coherent-state matrix elements and their check on truncated Fock space.
 
-The package's floating-point layer, and the only one that uses numpy;
-``import sheffer`` resolves its public names on first access. It provides:
+The package's floating-point layer; it and ``suites`` are the modules that
+import numpy, and ``import sheffer`` resolves this one's public names on
+first access. It provides:
 
 * closed-form coherent-state matrix elements of M^n and exp(lambda*M),
   and the series route for <z|exp(lambda*M)|z'> that pairs without closed
@@ -32,12 +33,28 @@ On the number-state closed forms: the printed rule
 at l >= 1. The operator route ``mono_element_operator`` evaluates
 (M^n x^l)(z*)/sqrt(l!), which is what the Fock verifier confirms; both are
 compared by the adjudication rows of ``fock_verify``.
+
+On BLAS threads: a draw is several dozen products of a 64x64 complex matrix
+with a vector, too small to share out. A second OpenBLAS thread only spins
+through them: 20 000 such products took 0.07-0.09 s wall and 0.15-0.17 s
+CPU on two threads, 0.05-0.07 s wall and 0.07-0.08 s CPU on one (two-core
+Xeon, numpy 2.4 with scipy-openblas). So ``fock_verify`` and
+``suites.coherent_rows`` run inside ``_one_blas_thread``, which sets the
+OpenBLAS that numpy loaded to one thread for the call and restores the
+count it found, also when the call raises. It reads and writes no
+environment variable, and does nothing when it finds no OpenBLAS under
+numpy.
 """
 
 from __future__ import annotations
 
 import cmath
+import ctypes
+import glob
 import math
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial
@@ -394,6 +411,67 @@ def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> 
 # ---------------------------------------------------------------------------
 
 
+_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_threads():
+    """(get, set) thread-count calls of the OpenBLAS under numpy.libs, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a BLAS we cannot load leaves the numerics as they are
+            continue
+        for get_name, set_name in _THREAD_SYMBOLS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                return get_threads, set_threads
+    return None
+
+
+class _OneThreadScopes:
+    """Scopes that run numpy's OpenBLAS on one thread.
+
+    The thread count is process-wide, so the scopes open on all threads are
+    counted under a lock: the first to open sets one thread, and the last to
+    close restores the count the first one found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._open = 0
+        self._before = 0
+
+    @contextmanager
+    def scope(self):
+        calls = _openblas_threads()
+        if calls is None:
+            yield
+            return
+        get_threads, set_threads = calls
+        with self._lock:
+            if not self._open:
+                self._before = get_threads()
+                set_threads(1)
+            self._open += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._open -= 1
+                if not self._open:
+                    set_threads(self._before)
+
+
+_one_blas_thread = _OneThreadScopes().scope
+
+
 @lru_cache(maxsize=8)
 def _exp_adag_table(dim: int):
     """sqrt((n+j)!/n!)/j! at entry (n+j, n), and j there; zero above the diagonal."""
@@ -552,6 +630,7 @@ def _adjudicated_row(identity: str, pairs, tol: float, tail: float) -> dict:
     return row
 
 
+@_one_blas_thread()
 def fock_verify(
     pair: ShefferPair,
     params: CoherentParams,
@@ -571,6 +650,7 @@ def fock_verify(
     closed forms. Returns report rows; the adjudication rows compare the
     printed number-state rule against the operator route and always carry
     pass=True with a ``matches_printed`` field (completed, not asserted).
+    Runs with OpenBLAS on one thread (``_one_blas_thread``).
     """
     if cutoff < 32:
         raise CutoffTooSmall("Fock cutoff must be >= 32")

@@ -17,6 +17,7 @@ from .catalog import FAMILY_LABELS, family, oracle_polys
 from .fock import (
     CoherentParams,
     FockSpace,
+    _one_blas_thread,
     compile_pair,
     exp_element_coherent_closed,
     fock_verify,
@@ -177,6 +178,9 @@ def _disk_draw(rng, radius: float) -> complex:
     return complex(r * np.cos(theta), r * np.sin(theta))
 
 
+# one scope over the draws and _adjudication_rows, so no BLAS worker thread
+# is woken here and left spinning into the next suite
+@_one_blas_thread()
 def coherent_rows(
     label: str,
     order: int = 16,

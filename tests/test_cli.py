@@ -2,13 +2,17 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
-from sheffer import DomainError, ParseError, TruncatedSeries, family
+from sheffer import DomainError, ParseError, TruncatedSeries, family, fock
 from sheffer.cli import (
     RunConfig,
     build_parser,
@@ -151,6 +155,9 @@ def test_config_validation():
         RunConfig(order=0)
     with pytest.raises(ValueError):
         RunConfig(tol=2.0)
+    assert RunConfig(cutoff=1024).cutoff == 1024
+    with pytest.raises(ValueError, match="at most 1024"):
+        RunConfig(cutoff=1025)
 
 
 # -- commands ----------------------------------------------------------------------
@@ -319,6 +326,31 @@ def test_bad_env_value_names_the_variable(capsys, monkeypatch):
     assert "abc" in err
 
 
+@pytest.fixture
+def refuse_fock_space(monkeypatch):
+    """Fail any FockSpace construction, so a missing cutoff ceiling allocates nothing."""
+
+    def refuse(self, dim):
+        raise AssertionError(f"FockSpace({dim}) was built")
+
+    monkeypatch.setattr(fock.FockSpace, "__init__", refuse)
+
+
+def test_cutoff_above_the_ceiling_is_a_usage_error(capsys, monkeypatch, refuse_fock_space):
+    code, out, err = run_cli(
+        capsys, "verify", "coherent", "--family", "hermite", "--draws", "1", "--cutoff", "100000"
+    )
+    assert (code, out) == (2, "")
+    assert "cutoff must be at most 1024" in err
+    monkeypatch.setenv("SHEFFER_CUTOFF", "100000")
+    code, out, err = run_cli(
+        capsys, "matrix-element", "--family", "hermite", "--z", "0.1", "--zp", "0.1",
+        "--lambda", "0.05", "--fock-check",
+    )
+    assert (code, out) == (2, "")
+    assert "cutoff must be at most 1024" in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["gen", "--family", "nosuch", "--n", "2"])
@@ -426,3 +458,20 @@ def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+def test_blas_thread_count_changes_no_stdout_byte():
+    # one child pinned to one OpenBLAS thread, one at the library default
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONHASHSEED"] = "0"
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for env in ({**base, "OPENBLAS_NUM_THREADS": "1"}, base):
+        result = subprocess.run(
+            [sys.executable, "-m", "sheffer", "verify", "coherent", "--seed", "7"],
+            env=env, capture_output=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]

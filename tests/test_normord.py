@@ -2,6 +2,9 @@ import cmath
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction as F
 from math import comb, factorial
@@ -675,6 +678,106 @@ def test_fock_verify_guards_and_cutoff():
             z_guard=entry.z_guard,
             lam_guard=entry.lam_guard,
         )
+
+
+# -- the one-thread BLAS scope of the Fock layer --------------------------------
+
+needs_openblas = pytest.mark.skipif(
+    fock._openblas_threads() is None, reason="numpy's BLAS is not an OpenBLAS under numpy.libs"
+)
+
+
+@pytest.fixture
+def blas_threads():
+    """Set numpy's OpenBLAS to two threads for the test; yield its count getter."""
+    get_threads, set_threads = fock._openblas_threads()
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def _hermite_verify(params, **kwargs):
+    entry = family("hermite", 16)
+    return fock_verify(
+        entry.pair, params, maps=entry.maps, z_guard=entry.z_guard,
+        lam_guard=entry.lam_guard, **kwargs,
+    )
+
+
+@needs_openblas
+def test_fock_numerics_run_on_one_blas_thread_and_restore_the_count(blas_threads, monkeypatch):
+    seen = []
+    apply_exp = FockSpace.apply_exp
+
+    def spy(self, *args):
+        seen.append(blas_threads())
+        return apply_exp(self, *args)
+
+    monkeypatch.setattr(FockSpace, "apply_exp", spy)
+    assert rows_pass(_hermite_verify(CoherentParams(0.3, 0.2j, 0.1)))
+    assert blas_threads() == 2
+    assert rows_pass(coherent_rows("hahn", draws=1))
+    assert blas_threads() == 2
+    # four per fock_verify, and one for hahn's adjudication row outside it
+    assert seen == [1] * 9
+
+
+@needs_openblas
+def test_blas_thread_count_is_restored_when_the_call_raises(blas_threads):
+    with pytest.raises(CutoffTooSmall, match="coherent tail"):
+        _hermite_verify(CoherentParams(0.9, 0.2, 0.1), cutoff=32, tol=1e-30)
+    assert blas_threads() == 2
+    with pytest.raises(CutoffTooSmall, match="coherent tail"):
+        coherent_rows("hermite", cutoff=32, tol=1e-300, draws=1)
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_scope_is_a_no_op_when_the_lookup_finds_nothing(blas_threads, monkeypatch):
+    monkeypatch.setattr(fock, "_openblas_threads", lambda: None)
+    with fock._one_blas_thread():
+        assert blas_threads() == 2
+    assert rows_pass(_hermite_verify(CoherentParams(0.3, 0.2j, 0.1)))
+    assert blas_threads() == 2
+
+
+@needs_openblas
+def test_blas_scopes_on_several_threads_restore_the_count(blas_threads):
+    seen = []
+
+    def work():
+        for _ in range(300):
+            with fock._one_blas_thread():
+                time.sleep(0)  # let another thread open or close a scope here
+                seen.append(blas_threads())
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work) for _ in range(4)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(worker.is_alive() for worker in workers)
+    assert blas_threads() == 2
+    assert seen == [1] * 1200
+
+
+def test_blas_lookup_failure_does_not_raise(monkeypatch):
+    def refuse(path):
+        raise OSError(f"cannot load {path}")
+
+    fock._openblas_threads.cache_clear()
+    monkeypatch.setattr(fock.ctypes, "CDLL", refuse)
+    try:
+        assert fock._openblas_threads() is None
+        assert rows_pass(_hermite_verify(CoherentParams(0.3, 0.2j, 0.1)))
+    finally:
+        fock._openblas_threads.cache_clear()
 
 
 # -- the compiled pair against the per-call route it replaces -------------------
