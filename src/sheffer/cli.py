@@ -32,6 +32,7 @@ from . import suites
 from .catalog import FAMILY_LABELS, family
 from .errors import DomainError, ParseError, ShefferError, UnknownFamily
 from .fock import (
+    MIN_CUTOFF,
     CoherentParams,
     check_coherent_guards,
     exp_element_coherent_closed,
@@ -354,6 +355,8 @@ class RunConfig:
         if self.cutoff > _MAX_CUTOFF:
             # FockSpace holds dense cutoff x cutoff complex matrices: 16 MB each at 1024
             raise ValueError(f"cutoff must be at most {_MAX_CUTOFF}, got {self.cutoff}")
+        if self.cutoff < MIN_CUTOFF:
+            raise ValueError(f"cutoff must be at least {MIN_CUTOFF}, got {self.cutoff}")
         if not 0 < self.tol < 1:
             raise ValueError("tolerance must be in (0, 1)")
         if self.fmt not in ("json", "csv"):

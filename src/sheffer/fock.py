@@ -222,6 +222,8 @@ class CompiledPair:
     def mono_element(self, n: int, l: int, zstar: complex) -> complex:
         if not 0 <= n + l <= self.order:
             raise OrderExceeded(f"need s_{n + l}, series order is {self.order}")
+        if n < 0 or l < 0:
+            raise IndexOutOfRange(f"M^{n} on |{l}>: a negative index")
         return _horner(self._sequence[n + l], complex(zstar)) / math.sqrt(factorial(l))
 
     def mono_element_operator(self, n: int, l: int, zstar: complex) -> complex:
@@ -630,6 +632,9 @@ def _adjudicated_row(identity: str, pairs, tol: float, tail: float) -> dict:
     return row
 
 
+MIN_CUTOFF = 32  # smallest Fock cutoff that fock_verify and the CLI's --cutoff accept
+
+
 @_one_blas_thread()
 def fock_verify(
     pair: ShefferPair,
@@ -652,8 +657,8 @@ def fock_verify(
     pass=True with a ``matches_printed`` field (completed, not asserted).
     Runs with OpenBLAS on one thread (``_one_blas_thread``).
     """
-    if cutoff < 32:
-        raise CutoffTooSmall("Fock cutoff must be >= 32")
+    if cutoff < MIN_CUTOFF:
+        raise CutoffTooSmall(f"Fock cutoff must be >= {MIN_CUTOFF}")
     z, zp, lam = params.z, params.zp, params.lam
     if abs(z) > 1 or abs(zp) > 1:
         raise GuardExceeded("|z| and |z'| must be <= 1")

@@ -8,7 +8,8 @@ general pair (f, g) the composite S_n(x,y) = n! sum_r s_{n-2r}(x) s_r(y) /
 f(D_y) S_n = f(D_x)^2 S_n, and the operators Pi = f(D_x),
 Theta = M_x + 2 M_y f(D_y) commute to the identity. Whether Theta/Pi also
 act as ladder operators on S_n is recorded, not asserted: the
-``theta_pi_check`` rows carry a ``holds`` field for that status.
+``theta_pi_check`` rows carry a ``holds`` field for that status. The
+operators on (x, y) multiply by ``weyl.weyl_mul``, as one-pair ones do.
 """
 
 from __future__ import annotations
@@ -43,31 +44,9 @@ class BivarOperator(SparseTerms):
     def in_y(w: WeylElement) -> "BivarOperator":
         return BivarOperator({(0, 0, i, j): c for (i, j), c in w.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, BivarOperator):
-            return self.scale(other)
-        out: dict = {}
-        for (i1, j1, k1, l1), c1 in self.terms.items():
-            for (i2, j2, k2, l2), c2 in other.terms.items():
-                prod_x = weyl_mul(
-                    WeylElement.monomial(i1, j1), WeylElement.monomial(i2, j2)
-                )
-                prod_y = weyl_mul(
-                    WeylElement.monomial(k1, l1), WeylElement.monomial(k2, l2)
-                )
-                base = c1 * c2
-                for (ix, jx), cx in prod_x.terms.items():
-                    for (iy, jy), cy in prod_y.terms.items():
-                        key = (ix, jx, iy, jy)
-                        s = out.get(key, _ZERO) + base * cx * cy
-                        if s:
-                            out[key] = s
-                        else:
-                            out.pop(key, None)
-        return BivarOperator(out)
-
-    def commutator(self, other: "BivarOperator") -> "BivarOperator":
-        return self * other - other * self
+    # borrowed, not inherited: WeylElement's one-pair constructors do not apply here
+    __mul__ = WeylElement.__mul__
+    commutator = WeylElement.commutator
 
     def apply(self, p: BivariatePolynomial) -> BivariatePolynomial:
         out: dict = {}
@@ -194,8 +173,8 @@ def heat_check(pair: ShefferPair, n: int) -> dict:
         raise OrderExceeded(f"heat check at degree {n} needs series order >= {n}")
     s_n = umbral_S(pair, n)
     f_trunc = pair.f.truncate(n)
-    op_x = BivarOperator.in_x(WeylElement.from_series(f_trunc, "d"))
-    op_y = BivarOperator.in_y(WeylElement.from_series(f_trunc, "d"))
+    op_x = BivarOperator.in_x(WeylElement.from_series(f_trunc))
+    op_y = BivarOperator.in_y(WeylElement.from_series(f_trunc))
     lhs = op_y.apply(s_n)
     rhs = op_x.apply(op_x.apply(s_n))
     return {"identity": "heat", "n": n, "pass": lhs == rhs}
@@ -266,7 +245,7 @@ def pi_recursion(q: Polynomial, n: int) -> Polynomial:
 def _bessel_ops(depth: int):
     p_op = WeylElement({(0, 1): 1, (0, 2): Fraction(-1, 2)})
     geom = TruncatedSeries.from_coeffs([1] * (depth + 1), depth)
-    m_op = weyl_mul(WeylElement.x(), WeylElement.from_series(geom, "d"))
+    m_op = weyl_mul(WeylElement.x(), WeylElement.from_series(geom))
     return p_op, m_op
 
 

@@ -150,7 +150,7 @@ def build_P(pair: ShefferPair, k_order: int) -> WeylElement:
     _check_degree(k_order, "K")
     if k_order > pair.order:
         raise OrderExceeded(f"K {k_order} exceeds series order {pair.order}")
-    return WeylElement.from_series(pair.f.truncate(k_order), "d")
+    return WeylElement.from_series(pair.f.truncate(k_order))
 
 
 def build_M(pair: ShefferPair, k_order: int) -> WeylElement:
@@ -168,8 +168,8 @@ def build_M(pair: ShefferPair, k_order: int) -> WeylElement:
             f"K {k_order} needs series order >= {k_order + 1}, have {pair.order}"
         )
     k_ser, hk_ser = (ser.truncate(k_order) for ser in pair_ladder(pair))
-    x_part = weyl_mul(WeylElement.x(), WeylElement.from_series(k_ser, "d"))
-    d_part = WeylElement.from_series(hk_ser, "d")
+    x_part = weyl_mul(WeylElement.x(), WeylElement.from_series(k_ser))
+    d_part = WeylElement.from_series(hk_ser)
     return x_part - d_part
 
 

@@ -484,6 +484,8 @@ class Polynomial:
 
     @staticmethod
     def monomial(power: int, coeff: RationalLike = 1) -> "Polynomial":
+        if power < 0:
+            raise IndexOutOfRange(f"negative power x^{power}")
         c = as_fraction(coeff)
         if not c:
             return Polynomial(())
@@ -589,8 +591,9 @@ class SparseTerms:
 
     ``terms[key]`` is the coefficient of the monomial whose exponents are
     ``key``, one per variable in ``names``; zero coefficients are never
-    kept. This class holds the linear structure; subclasses name the
-    variables and add their own product, action and constructors.
+    kept; a negative exponent raises ``IndexOutOfRange``. This class holds
+    the linear structure; subclasses name the variables and add their
+    action, constructors and product (``weyl.weyl_mul`` serves two of them).
     """
 
     __slots__ = ("terms",)
@@ -599,6 +602,8 @@ class SparseTerms:
     def __init__(self, terms: dict | None = None):
         clean = {}
         if terms:
+            if min(map(min, terms)) < 0:
+                raise IndexOutOfRange(f"negative exponent in {min(terms, key=min)}")
             for key, value in terms.items():
                 c = as_fraction(value)
                 if c:

@@ -24,6 +24,7 @@ from .fock import (
     overlap,
 )
 from .multivar import (
+    _bessel_ops,
     evolution_solution,
     heat_check,
     hkdf,
@@ -319,8 +320,7 @@ def evolution_rows(y_order: int = 8, pi_depth: int = 6) -> list:
     for idx, q in enumerate(
         [Polynomial.one(), Polynomial.from_coeffs([0, 1, 2]), Polynomial.from_coeffs([3, 0, 0, 0, 1])]
     ):
-        geom = TruncatedSeries.from_coeffs([1] * (geom_order + 1), geom_order)
-        m_op = weyl_mul(WeylElement.x(), WeylElement.from_series(geom, "d"))
+        _, m_op = _bessel_ops(geom_order)
         poly = q
         ok = True
         for n in range(1, pi_depth + 1):

@@ -3,7 +3,9 @@
 Elements are finite sums of monomials X^i D^j (all X's to the left). Under
 the correspondence X <-> creation and D <-> annihilation the same data
 doubles as a normally ordered boson operator, so this module serves both
-the differential-operator picture and the boson picture.
+the differential-operator picture and the boson picture. ``weyl_mul``
+reads a key as any number of commuting (X power, D power) pairs, so it is
+also the product of the two-pair operators in ``multivar``.
 """
 
 from __future__ import annotations
@@ -45,17 +47,13 @@ class WeylElement(SparseTerms):
         return WeylElement({(i, j): coeff})
 
     @staticmethod
-    def from_series(series: TruncatedSeries, mode: str) -> "WeylElement":
-        """Sum_k c_k D^k (mode 'd') or Sum_k c_k X^k (mode 'x').
+    def from_series(series: TruncatedSeries) -> "WeylElement":
+        """Sum_k c_k D^k.
 
-        The truncation order of the series bounds the operator degree; in
-        mode 'd' the result acts exactly on polynomials of degree <= order.
+        The truncation order of the series bounds the operator degree; the
+        result acts exactly on polynomials of degree <= order.
         """
-        if mode == "d":
-            return WeylElement({(0, k): c for k, c in enumerate(series.coeffs)})
-        if mode == "x":
-            return WeylElement({(k, 0): c for k, c in enumerate(series.coeffs)})
-        raise ValueError(f"mode must be 'd' or 'x', got {mode!r}")
+        return WeylElement({(0, k): c for k, c in enumerate(series.coeffs)})
 
     @property
     def x_degree(self) -> int:
@@ -64,7 +62,7 @@ class WeylElement(SparseTerms):
     # -- multiplication ------------------------------------------------------------
 
     def __mul__(self, other):
-        if isinstance(other, WeylElement):
+        if isinstance(other, SparseTerms):
             return weyl_mul(self, other)
         return self.scale(other)
 
@@ -104,28 +102,36 @@ class WeylElement(SparseTerms):
         ]
 
 
-def weyl_mul(u: WeylElement, v: WeylElement) -> WeylElement:
-    """Product in normal form.
+def weyl_mul(u: SparseTerms, v: SparseTerms) -> SparseTerms:
+    """Product in normal form, of two elements of the same type.
 
-    Uses the closed-form reordering
-    D^m X^n = sum_k k! C(m,k) C(n,k) X^{n-k} D^{m-k}, so each monomial pair
-    costs O(min(m, n)). Coefficients are accumulated as integers over the
-    product of the operands' common denominators.
+    Each key is a run of (X power, D power) pairs, and pairs at different
+    positions commute. Pair by pair it uses the closed-form reordering
+    D^m X^n = sum_k k! C(m,k) C(n,k) X^{n-k} D^{m-k}, so a monomial pair
+    costs prod (min(m, n) + 1) over its pairs. Coefficients are summed as
+    integers over the product of the operands' common denominators.
     """
+    if type(u) is not type(v):
+        raise TypeError(f"cannot multiply {type(u).__name__} by {type(v).__name__}")
     un, ud = _common_denominator(list(u.terms.values()))
     vn, vd = _common_denominator(list(v.terms.values()))
     v_items = list(zip(v.terms, vn))
     out: dict = {}
-    for (i1, j1), c1 in zip(u.terms, un):
-        for (i2, j2), c2 in v_items:
-            c = c1 * c2
-            for k in range(min(j1, i2) + 1):
-                w = c * (factorial(k) * comb(j1, k) * comb(i2, k))
-                key = (i1 + i2 - k, j1 + j2 - k)
+    for key1, c1 in zip(u.terms, un):
+        for key2, c2 in v_items:
+            terms = [((), c1 * c2)]
+            for i1, j1, i2, j2 in zip(key1[::2], key1[1::2], key2[::2], key2[1::2]):
+                terms = [
+                    (key + (i1 + i2 - k, j1 + j2 - k),
+                     c * (factorial(k) * comb(j1, k) * comb(i2, k)))
+                    for key, c in terms
+                    for k in range(min(j1, i2) + 1)
+                ]
+            for key, w in terms:
                 s = out.get(key, 0) + w
                 if s:
                     out[key] = s
                 else:
                     out.pop(key, None)
     den = ud * vd
-    return WeylElement({key: Fraction(s, den) for key, s in out.items()})
+    return type(u)({key: Fraction(s, den) for key, s in out.items()})

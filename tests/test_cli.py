@@ -351,6 +351,20 @@ def test_cutoff_above_the_ceiling_is_a_usage_error(capsys, monkeypatch, refuse_f
     assert "cutoff must be at most 1024" in err
 
 
+def test_cutoff_below_the_floor_is_a_usage_error(capsys, refuse_fock_space):
+    code, out, err = run_cli(
+        capsys, "verify", "coherent", "--family", "hermite", "--draws", "1", "--cutoff", "16"
+    )
+    assert (code, out) == (2, "")
+    assert "cutoff must be at least 32" in err
+    code, out, err = run_cli(
+        capsys, "matrix-element", "--family", "hermite", "--z", "0.1", "--zp", "0.1",
+        "--lambda", "0.05", "--fock-check", "--cutoff", "16",
+    )
+    assert (code, out) == (2, "")
+    assert "cutoff must be at least 32" in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["gen", "--family", "nosuch", "--n", "2"])
@@ -450,6 +464,11 @@ GOLDEN_STDOUT = {
         "bd747e9b3ae5e3ccfde9d1febf54082f73ff281f773ca6bc2dcf8590347c82da",
     ("verify", "normal-order", "--family", "idempotent", "--lambda-order", "12", "--a-order", "16"):
         "531ef5a62aa7abf979ad0dc28cd6fe5439f9598ba0ef42badd78744cc17c4cbe",
+    # recorded before the two-variable operators took the one Weyl product
+    ("verify", "hkdf", "--seed", "7"):
+        "e172dd6e18e401cc2812224523028204eb4a8b7e4a9f571ef782ad3feeac89e1",
+    ("verify", "evolution", "--seed", "7"):
+        "c255fc0c56033b7ac0599c5ddf1cb967ded04e7016d51ff2a79668bb6dc63fa0",
 }
 
 

@@ -108,6 +108,25 @@ def ref_weyl_mul(u, v):
     return WeylElement(out)
 
 
+def ref_bivar_operator_mul(x, y):
+    """The two-pair product as a loop of one-pair products, one pair of terms at a time."""
+    out = {}
+    for (i1, j1, k1, l1), c1 in x.terms.items():
+        for (i2, j2, k2, l2), c2 in y.terms.items():
+            prod_x = ref_weyl_mul(WeylElement.monomial(i1, j1), WeylElement.monomial(i2, j2))
+            prod_y = ref_weyl_mul(WeylElement.monomial(k1, l1), WeylElement.monomial(k2, l2))
+            base = c1 * c2
+            for (ix, jx), cx in prod_x.terms.items():
+                for (iy, jy), cy in prod_y.terms.items():
+                    key = (ix, jx, iy, jy)
+                    s = out.get(key, _ZERO) + base * cx * cy
+                    if s:
+                        out[key] = s
+                    else:
+                        out.pop(key, None)
+    return BivarOperator(out)
+
+
 def ref_apply(element, p):
     out = {}
     for n, c in enumerate(p.coeffs):
@@ -409,6 +428,44 @@ def test_weyl_mul_cancellation_drops_terms():
     product = weyl_mul(u, v)
     assert product == WeylElement({(0, 0): 1, (2, 2): -1, (1, 1): -1})
     assert list(product.terms) == list(ref_weyl_mul(u, v).terms) == [(0, 0), (2, 2), (1, 1)]
+
+
+# -- two-pair Weyl products --------------------------------------------------------
+
+bivar_operators = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4), coefficients, max_size=5
+).map(BivarOperator)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bivar_operators, bivar_operators)
+@example(BivarOperator(), BivarOperator({(1, 2, 0, 1): F(-3, 7)}))
+@example(BivarOperator({(1, 2, 0, 1): F(-3, 7)}), BivarOperator())
+# (1 + X_y D_y)(1 - X_y D_y): the X_y D_y term cancels
+@example(BivarOperator({(0, 0, 0, 0): 1, (0, 0, 1, 1): 1}),
+         BivarOperator({(0, 0, 0, 0): 1, (0, 0, 1, 1): -1}))
+def test_bivar_operator_product_matches_the_pairwise_loop(x, y):
+    assert x * y == ref_bivar_operator_mul(x, y)
+    assert x.commutator(y) == ref_bivar_operator_mul(x, y) - ref_bivar_operator_mul(y, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(weyl_elements, weyl_elements)
+def test_bivar_operator_pairs_embed_and_commute(u, v):
+    in_x, in_y = BivarOperator.in_x, BivarOperator.in_y
+    assert in_x(u) * in_x(v) == in_x(u * v)
+    assert in_y(u) * in_y(v) == in_y(u * v)
+    assert in_x(u) * in_y(v) == in_y(v) * in_x(u)
+
+
+def test_weyl_mul_refuses_mixed_types():
+    w = WeylElement.monomial(1, 1)
+    op = BivarOperator.in_x(w)
+    for u, v in ((w, op), (op, w), (w, BivariatePolynomial.monomial(1, 1))):
+        with pytest.raises(TypeError):
+            weyl_mul(u, v)
+        with pytest.raises(TypeError):
+            u * v
 
 
 # -- Weyl action on polynomials ----------------------------------------------------

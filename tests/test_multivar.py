@@ -136,7 +136,7 @@ def test_pi_recursion_examples():
 def test_pi_recursion_matches_operator_powers(q):
     depth = q.degree + 7
     geom = TruncatedSeries.from_coeffs([1] * (depth + 1), depth)
-    m_op = weyl_mul(WeylElement.x(), WeylElement.from_series(geom, "d"))
+    m_op = weyl_mul(WeylElement.x(), WeylElement.from_series(geom))
     poly = q
     for n in range(1, 7):
         poly = m_op.apply(poly)

@@ -23,6 +23,7 @@ from sheffer import (
     CutoffTooSmall,
     FockSpace,
     GuardExceeded,
+    IndexOutOfRange,
     NormallyOrderedSeries,
     OrderExceeded,
     Polynomial,
@@ -950,6 +951,14 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
         seen.append(dict(counts))
     assert seen[0] == seen[1]
     assert seen[0]["build_M"] == 1
+
+
+def test_printed_closed_form_checks_its_indices():
+    pair = family("hermite", 8).pair
+    with pytest.raises(IndexOutOfRange):
+        mono_element(pair, -1, 2, 0.3)  # M^-1 does not exist
+    with pytest.raises(IndexOutOfRange):
+        mono_element(pair, 3, -1, 0.3)  # nor does |-1>
 
 
 def test_compiled_closed_forms_reject_negative_indices():

@@ -103,10 +103,10 @@ def test_build_operators_hahn_trig_form():
     cos2 = (cos_series(x) * cos_series(x)).truncate(k)
     sincos = (sin_series(x) * cos_series(x)).truncate(k)
     expected = weyl_mul(
-        WeylElement.x(), WeylElement.from_series(cos2, "d")
-    ) - WeylElement.from_series(sincos, "d")
+        WeylElement.x(), WeylElement.from_series(cos2)
+    ) - WeylElement.from_series(sincos)
     assert build_M(pair, k) == expected
-    assert build_P(pair, k) == WeylElement.from_series(tan_series(x).truncate(k), "d")
+    assert build_P(pair, k) == WeylElement.from_series(tan_series(x).truncate(k))
 
 
 def test_x_enters_m_linearly():
@@ -239,8 +239,8 @@ def _uncached_build_m(pair, k_order):
     # reference: the raising operator built from f and g, without the cached ladder
     k_ser = pair.f.derivative().reciprocal().truncate(k_order)
     h_ser = (pair.g.derivative() * pair.g.reciprocal()).truncate(k_order)
-    x_part = WeylElement.x() * WeylElement.from_series(k_ser, "d")
-    return x_part - WeylElement.from_series((h_ser * k_ser).truncate(k_order), "d")
+    x_part = WeylElement.x() * WeylElement.from_series(k_ser)
+    return x_part - WeylElement.from_series((h_ser * k_ser).truncate(k_order))
 
 
 @pytest.mark.parametrize("label", ("laguerre", "hahn", "idempotent"))

@@ -9,6 +9,7 @@ from sheffer import (
     BadConstantTerm,
     BivariatePolynomial,
     GuardExceeded,
+    IndexOutOfRange,
     NonzeroInnerConstant,
     NotInvertible,
     Polynomial,
@@ -204,6 +205,20 @@ def test_polynomial_padded_row():
 
 
 # -- sparse sums of monomials ------------------------------------------------------
+
+
+def test_negative_exponents_are_refused():
+    # each of these once gave a wrong answer or a raw IndexError
+    with pytest.raises(IndexOutOfRange):
+        Polynomial.monomial(-1)
+    with pytest.raises(IndexOutOfRange):
+        WeylElement({(-1, 0): 1}).apply(Polynomial.x())
+    with pytest.raises(IndexOutOfRange):
+        WeylElement({(0, -1): 1}).apply(Polynomial.x())
+    with pytest.raises(IndexOutOfRange):
+        BivariatePolynomial({(-1, 2): 1})
+    with pytest.raises(IndexOutOfRange):
+        BivarOperator({(0, 0, -1, 0): 1})
 
 
 def test_sparse_containers_reject_floats():

@@ -45,14 +45,14 @@ def test_apply_monomial_actions():
 
 
 def test_from_series():
-    assert WeylElement.from_series(TruncatedSeries.x(3), "d") == WeylElement(
+    assert WeylElement.from_series(TruncatedSeries.x(3)) == WeylElement(
         {(0, 0): 0, (0, 1): 1}
     )
     geom = TruncatedSeries.from_coeffs([1, -1], 3).reciprocal()
-    assert WeylElement.from_series(geom, "d") == WeylElement(
+    assert WeylElement.from_series(geom) == WeylElement(
         {(0, 0): 1, (0, 1): 1, (0, 2): 1, (0, 3): 1}
     )
-    assert WeylElement.from_series(TruncatedSeries.zero(3), "d").is_zero()
+    assert WeylElement.from_series(TruncatedSeries.zero(3)).is_zero()
 
 
 @pytest.mark.parametrize("m", range(7))
