@@ -12,8 +12,12 @@ carries diagnostics. Exit codes: 0 success / all checks pass,
 1 verification failure, 2 usage error (bad flags, unknown family,
 malformed expression), 3 domain or guard error.
 
-Defaults come from SHEFFER_* environment variables when set: ORDER,
-LAMBDA_ORDER, A_ORDER, CUTOFF, TOL, FORMAT, DRAWS, SEED.
+Each subcommand takes the flags of the run settings it reads, and reads
+their SHEFFER_* environment variables when the flag is absent (a flag
+beats its variable): ``list`` and ``gen`` read ORDER and FORMAT,
+``normal-order`` ORDER, LAMBDA_ORDER, A_ORDER and FORMAT,
+``matrix-element`` ORDER, CUTOFF, TOL and FORMAT, and ``verify`` all eight
+(those and DRAWS, SEED). A variable a subcommand does not read is ignored.
 """
 
 from __future__ import annotations
@@ -363,22 +367,28 @@ class RunConfig:
             raise ValueError("format must be json or csv")
 
 
-_ENV_MAP = {
-    "order": ("SHEFFER_ORDER", int),
-    "lam_order": ("SHEFFER_LAMBDA_ORDER", int),
-    "a_order": ("SHEFFER_A_ORDER", int),
-    "cutoff": ("SHEFFER_CUTOFF", int),
-    "tol": ("SHEFFER_TOL", float),
-    "fmt": ("SHEFFER_FORMAT", str),
-    "draws": ("SHEFFER_DRAWS", int),
-    "seed": ("SHEFFER_SEED", int),
+# One row per RunConfig field: its flag, its environment variable, the type of
+# both, and the flag's help. RunConfig validates a value from either source.
+_SETTINGS = {
+    "order": ("--order", "SHEFFER_ORDER", int, "series truncation order (default 16)"),
+    "lam_order": ("--lambda-order", "SHEFFER_LAMBDA_ORDER", int,
+                  "lambda order of exp(lambda*M) (default 6)"),
+    "a_order": ("--a-order", "SHEFFER_A_ORDER", int, "order in a and adag (default 8)"),
+    "cutoff": ("--cutoff", "SHEFFER_CUTOFF", int, "Fock cutoff, 32 to 1024 (default 64)"),
+    "tol": ("--tol", "SHEFFER_TOL", float, "numeric tolerance in (0, 1) (default 1e-8)"),
+    "fmt": ("--format", "SHEFFER_FORMAT", str, "json or csv (default json)"),
+    "draws": ("--draws", "SHEFFER_DRAWS", int, "coherent-state draws per family (default 10)"),
+    "seed": ("--seed", "SHEFFER_SEED", int, "seed of the coherent-state draws (default 7)"),
 }
 
 
 def config_from(args) -> RunConfig:
+    """RunConfig from the settings the subcommand declares: flag, else variable."""
     values = {}
-    for name, (env_name, cast) in _ENV_MAP.items():
-        flag = getattr(args, name, None)
+    for name, (_, env_name, cast, _) in _SETTINGS.items():
+        if name not in vars(args):
+            continue  # a setting the subcommand does not read
+        flag = getattr(args, name)
         if flag is not None:
             values[name] = flag
         elif env_name in os.environ:
@@ -492,54 +502,28 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-_SUITE_NAMES = (
-    "monomiality",
-    "commutator",
-    "normal-order",
-    "coherent",
-    "heat",
-    "hkdf",
-    "evolution",
-)
+def _no_rows(*_):
+    return []
 
 
-def _suite_tasks(name: str, labels, cfg: RunConfig):
-    """Row-producing callables for one suite, one per family where it applies."""
-    tasks = []
-    if name == "monomiality":
-        for label in labels:
-            tasks.append(lambda l=label: suites.monomiality_rows(l, cfg.order))
-            tasks.append(lambda l=label: suites.oracle_rows(l, cfg.order))
-    elif name == "commutator":
-        tasks.append(lambda: suites.swap_oracle_rows())
-        for label in labels:
-            tasks.append(lambda l=label: suites.commutator_family_rows(l, cfg.order))
-    elif name == "normal-order":
-        for label in labels:
-            tasks.append(
-                lambda l=label: suites.normal_order_rows(
-                    l, cfg.order, cfg.lam_order, cfg.a_order
-                )
-            )
-    elif name == "coherent":
-        for label in labels:
-            tasks.append(
-                lambda l=label: suites.coherent_rows(
-                    l, cfg.order, cfg.cutoff, cfg.tol, cfg.draws, cfg.seed
-                )
-            )
-    elif name == "heat":
-        for label in labels:
-            tasks.append(lambda l=label: suites.heat_rows(l, cfg.order))
-    elif name == "hkdf":
-        tasks.append(lambda: suites.hkdf_global_rows(order=cfg.order))
-        for label in labels:
-            tasks.append(lambda l=label: suites.theta_pi_rows(l, cfg.order))
-    elif name == "evolution":
-        tasks.append(lambda: suites.evolution_rows())
-    else:
-        raise UnknownFamily(f"unknown suite {name!r}")
-    return tasks
+# Each suite, in CLI order: (rows over all families, rows for one family).
+# The all-family rows come first. The functions are looked up on ``suites``
+# when the suite runs, so a rebound module attribute (a tracer's) is called.
+_SUITES = {
+    "monomiality": (_no_rows, lambda label, cfg: suites.monomiality_rows(label, cfg.order)
+                    + suites.oracle_rows(label, cfg.order)),
+    "commutator": (lambda cfg: suites.swap_oracle_rows(),
+                   lambda label, cfg: suites.commutator_family_rows(label, cfg.order)),
+    "normal-order": (_no_rows, lambda label, cfg: suites.normal_order_rows(
+        label, cfg.order, cfg.lam_order, cfg.a_order)),
+    "coherent": (_no_rows, lambda label, cfg: suites.coherent_rows(
+        label, cfg.order, cfg.cutoff, cfg.tol, cfg.draws, cfg.seed)),
+    "heat": (_no_rows, lambda label, cfg: suites.heat_rows(label, cfg.order)),
+    "hkdf": (lambda cfg: suites.hkdf_global_rows(order=cfg.order),
+             lambda label, cfg: suites.theta_pi_rows(label, cfg.order)),
+    "evolution": (lambda cfg: suites.evolution_rows(), _no_rows),
+}
+_SUITE_NAMES = tuple(_SUITES)
 
 
 def _cmd_verify(args) -> int:
@@ -552,8 +536,9 @@ def _cmd_verify(args) -> int:
     seconds = []
     for name in suite_names:
         start = time.perf_counter()
-        for task in _suite_tasks(name, labels, cfg):
-            all_rows.extend({"suite": name, **row} for row in task())
+        all_families, one_family = _SUITES[name]
+        batches = [all_families(cfg), *(one_family(label, cfg) for label in labels)]
+        all_rows.extend({"suite": name, **row} for rows in batches for row in rows)
         seconds.append(f"{name} {time.perf_counter() - start:.2f} s")
     ok = suites.rows_pass(all_rows)
     summary = {
@@ -619,16 +604,10 @@ def _cmd_matrix_element(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_config_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--order", type=int, default=None,
-                        help="series truncation order (default 16)")
-    parser.add_argument("--lambda-order", dest="lam_order", type=int, default=None)
-    parser.add_argument("--a-order", dest="a_order", type=int, default=None)
-    parser.add_argument("--cutoff", type=int, default=None, help="Fock cutoff")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-    parser.add_argument("--draws", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+def _add_settings(parser: argparse.ArgumentParser, *names: str):
+    for name in names:
+        flag, _, cast, text = _SETTINGS[name]
+        parser.add_argument(flag, dest=name, type=cast, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -640,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="dump the family catalog")
-    _add_config_flags(p_list)
+    _add_settings(p_list, "order", "fmt")
     p_list.set_defaults(handler=_cmd_list)
 
     p_gen = sub.add_parser("gen", help="generate polynomials")
@@ -650,16 +629,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True, help="highest degree")
     p_gen.add_argument("--coeffs", action="store_true",
                        help="include exact coefficient rows")
-    _add_config_flags(p_gen)
+    _add_settings(p_gen, "order", "fmt")
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="?", choices=_SUITE_NAMES,
                           help="suite to run (default: all)")
-    p_verify.add_argument("--family", help="restrict to one family")
-    p_verify.add_argument("--all", action="store_true",
-                          help="all families (default when --family absent)")
-    _add_config_flags(p_verify)
+    scope = p_verify.add_mutually_exclusive_group()
+    scope.add_argument("--family", help="restrict to one family")
+    scope.add_argument("--all", action="store_true",
+                       help="all families (default when --family absent)")
+    _add_settings(p_verify, *_SETTINGS)
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_no = sub.add_parser("normal-order",
@@ -667,7 +647,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_no.add_argument("--family", choices=FAMILY_LABELS)
     p_no.add_argument("--f")
     p_no.add_argument("--g")
-    _add_config_flags(p_no)
+    _add_settings(p_no, "order", "lam_order", "a_order", "fmt")
     p_no.set_defaults(handler=_cmd_normal_order)
 
     p_me = sub.add_parser("matrix-element",
@@ -678,7 +658,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_me.add_argument("--lambda", dest="lam", type=_parse_complex, required=True,
                       metavar="RE,IM")
     p_me.add_argument("--fock-check", action="store_true")
-    _add_config_flags(p_me)
+    _add_settings(p_me, "order", "cutoff", "tol", "fmt")
     p_me.set_defaults(handler=_cmd_matrix_element)
     return parser
 

@@ -633,6 +633,8 @@ def _adjudicated_row(identity: str, pairs, tol: float, tail: float) -> dict:
 
 
 MIN_CUTOFF = 32  # smallest Fock cutoff that fock_verify and the CLI's --cutoff accept
+_MOMENTS_MAX = 6  # fock_verify checks <z|M^n|l> for n = 1.._MOMENTS_MAX
+_L_MAX = 2  # and the number states |l> for l = 0.._L_MAX
 
 
 @_one_blas_thread()
@@ -645,8 +647,6 @@ def fock_verify(
     maps=None,
     z_guard: float = 0.5,
     lam_guard: float = 0.25,
-    moments_max: int = 6,
-    l_max: int = 2,
 ) -> list:
     """Numeric check of the coherent-state matrix elements at one parameter point.
 
@@ -681,11 +681,11 @@ def fock_verify(
     rows.append(_batched_row("overlap", [(num, overlap(z, zp))], tol, tail))
 
     # <z|M^n|l> for l = 0 (printed form is exact here) and l >= 1 (operator route)
-    for l in range(0, l_max + 1):
+    for l in range(0, _L_MAX + 1):
         vals = []
         printed = []
         w = space.number_vec(l)
-        for n in range(1, moments_max + 1):
+        for n in range(1, _MOMENTS_MAX + 1):
             w = m_mat @ w
             num = complex(np.vdot(z_vec, w))
             closed = compiled.mono_element_operator(n, l, zs) * vac_factor
@@ -699,7 +699,7 @@ def fock_verify(
             )
 
     # <z|exp(lam*M)|l>
-    for l in range(0, l_max + 1):
+    for l in range(0, _L_MAX + 1):
         vec, exp_tail = space.apply_exp(m_mat, lam, space.number_vec(l))
         num = complex(np.vdot(z_vec, vec))
         exp_tail = max(tail, exp_tail)

@@ -45,3 +45,8 @@ def test_benchmark_check_accepts_the_cli_output(name):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(list(op["argv"]))
     assert workloads.check(op, rc, out.getvalue()) is None
+
+
+def test_verify_suites_are_the_benchmark_suites():
+    # verify-all reports one metric per suite name, in this order
+    assert cli._SUITE_NAMES == workloads.SUITES

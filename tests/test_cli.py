@@ -138,7 +138,7 @@ def test_grammar_expresses_every_catalog_pair(label):
 def test_config_env_overrides(monkeypatch):
     monkeypatch.setenv("SHEFFER_ORDER", "20")
     monkeypatch.setenv("SHEFFER_TOL", "1e-6")
-    args = build_parser().parse_args(["list"])
+    args = build_parser().parse_args(["verify"])
     cfg = config_from(args)
     assert cfg.order == 20
     assert cfg.tol == 1e-6
@@ -148,6 +148,54 @@ def test_config_flag_beats_env(monkeypatch):
     monkeypatch.setenv("SHEFFER_ORDER", "20")
     args = build_parser().parse_args(["list", "--order", "8"])
     assert config_from(args).order == 8
+
+
+# the setting flags each subcommand takes; every other setting flag is refused
+SUBCOMMAND_SETTINGS = {
+    ("list",): {"--order", "--format"},
+    ("gen", "--family", "hermite", "--n", "2"): {"--order", "--format"},
+    ("normal-order", "--family", "bell"): {"--order", "--lambda-order", "--a-order", "--format"},
+    ("matrix-element", "--family", "hermite", "--z", "0.1", "--zp", "0.1", "--lambda", "0.05"):
+        {"--order", "--cutoff", "--tol", "--format"},
+    ("verify",): {"--order", "--lambda-order", "--a-order", "--cutoff", "--tol", "--format",
+                  "--draws", "--seed"},
+}
+SETTING_VALUES = {"--order": "12", "--lambda-order": "4", "--a-order": "5", "--cutoff": "48",
+                  "--tol": "1e-6", "--format": "csv", "--draws": "3", "--seed": "11"}
+
+
+@pytest.mark.parametrize("argv", SUBCOMMAND_SETTINGS, ids=lambda argv: argv[0])
+def test_each_subcommand_takes_only_the_settings_it_reads(capsys, argv):
+    accepted = set()
+    for flag, value in SETTING_VALUES.items():
+        try:
+            build_parser().parse_args([*argv, flag, value])
+        except SystemExit as exc:
+            assert exc.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        else:
+            accepted.add(flag)
+    assert accepted == SUBCOMMAND_SETTINGS[argv]
+
+
+def test_a_setting_flag_the_subcommand_does_not_read_is_a_usage_error():
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--family", "hermite", "--n", "2", "--cutoff", "64"])
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("list",), ("gen", "--family", "hermite", "--n", "2"),
+     ("normal-order", "--family", "bell", "--lambda-order", "2", "--a-order", "2")],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("env", ["SHEFFER_CUTOFF=16", "SHEFFER_TOL=5", "SHEFFER_DRAWS=0"])
+def test_a_variable_the_subcommand_does_not_read_is_ignored(capsys, monkeypatch, argv, env):
+    monkeypatch.setenv(*env.split("="))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)
 
 
 def test_config_validation():
@@ -262,6 +310,13 @@ def test_verify_reports_failure_with_exit_one(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "monomiality", "--family", "hermite")
     assert code == 1
     assert json.loads(out)["failed"] > 0
+
+
+def test_verify_family_and_all_together_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "heat", "--family", "bell", "--all"])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_verify_unknown_family_is_usage_error(capsys):
@@ -469,6 +524,19 @@ GOLDEN_STDOUT = {
         "e172dd6e18e401cc2812224523028204eb4a8b7e4a9f571ef782ad3feeac89e1",
     ("verify", "evolution", "--seed", "7"):
         "c255fc0c56033b7ac0599c5ddf1cb967ded04e7016d51ff2a79668bb6dc63fa0",
+    # recorded before the run settings and the verify suites became tables
+    ("list",):
+        "074c8de467953b6e98e4ec3933932f38ffa56df3b9197724e79e43a6a97e7b71",
+    ("list", "--format", "csv"):
+        "1bb9da6ab4bc379188676a0db91f085c7096e1c089a12fbf50c5b429456958ca",
+    ("verify", "monomiality", "--seed", "7"):
+        "941f70f5df71dd6e8cd616b77fafede4973b47c28c33d3b9d5a56ff6c5e2ba1c",
+    ("verify", "heat", "--seed", "7"):
+        "30f3c62720ebafddb71f3b69938247a93026113c6e94ccdfcfe5a000bec2a317",
+    ("verify", "evolution", "--format", "csv"):
+        "050b412df3411ff20889849ff0b75c531d087c7820a40c8a1e552eb324fbfc8f",
+    ("gen", "--f", "x + (1/3)*x^2", "--g", "exp((1/2)*x)", "--n", "8", "--coeffs"):
+        "868e9f9e8cdd825d63e93d88ad6acefc581e4e5375622f77c6a5ab4c02101966",
 }
 
 
