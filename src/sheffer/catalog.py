@@ -1,21 +1,25 @@
 """The seven built-in polynomial families, with oracles and closed forms.
 
-Each entry carries the defining pair (f, g) as exact series, a closed-form
-generating-function evaluator, closed-form complex maps for f, its
-compositional inverse and g (used by the Fock verifier at arguments beyond
-the series trust radius), an independent polynomial oracle where a
-classical one exists, and documented numeric guards. The maps and
-evaluators are plain ``cmath``: this module imports nothing from the
-numeric Fock layer (``sheffer.fock``), which reads the maps and guards
-from the entries. The discrepancies recorded in an entry's ``notes`` are
-decided numerically by the coherent suite (``suites._adjudication_rows``).
+Each family is declared once, as one record in ``_FAMILIES``: a builder of
+the defining pair (f, g) as exact series from x and 1 at the requested
+order, a closed-form generating-function evaluator, closed-form complex
+maps for f, its compositional inverse and g (used by the Fock verifier at
+arguments beyond the series trust radius), documented numeric guards, an
+independent polynomial oracle where a classical one exists (else None) and
+notes. ``FAMILY_LABELS`` is the table's order. ``family``, ``oracle_polys``
+and ``egf_eval`` find a label through one lookup, which raises
+``UnknownFamily``. The maps and evaluators are plain ``cmath``: this module
+imports nothing from the numeric Fock layer (``sheffer.fock``), which reads
+the maps and guards from the entries ``family`` builds. The discrepancies
+recorded in a family's ``notes`` are decided numerically by the coherent
+suite (``suites._adjudication_rows``).
 
 Only f is printed in the usual operator tables; every g here is derived
 from the generating function's prefactor (prefactor = 1/g(finv(t)), so
 g(t) = 1/prefactor(f(t))) and confirmed against it symbolically by the
 test suite before being trusted.
 
-Guard fields:
+The three guards, fields of each record that ``family`` copies onto its entry:
 
 * ``guard_radius`` — trust radius in the generating-function variable for
   ``egf_eval`` (branch points: sqrt(1-2t) for bessel, log(1+t) for the
@@ -35,10 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import GuardExceeded, UnknownFamily
-from .sequences import ShefferPair, sequence_via_egf
+from .sequences import ShefferPair, _check_degree, sequence_via_egf
 from .series import (
     Polynomial,
     TruncatedSeries,
@@ -48,24 +52,14 @@ from .series import (
     tan_series,
 )
 
-FAMILY_LABELS = (
-    "hermite",
-    "laguerre",
-    "bessel",
-    "bell",
-    "lower_factorial",
-    "hahn",
-    "idempotent",
-)
-
 
 @dataclass(frozen=True)
 class ClosedMaps:
-    """Closed-form complex evaluators for f, its inverse, and g."""
+    """Closed-form complex evaluators for f, its inverse, and g (by default 1)."""
 
     f: Callable[[complex], complex]
     finv: Callable[[complex], complex]
-    g: Callable[[complex], complex]
+    g: Callable[[complex], complex] = lambda w: 1.0 + 0j
 
 
 @dataclass(frozen=True)
@@ -77,7 +71,6 @@ class FamilyEntry:
     lam_guard: float
     closed_egf: Callable[[complex, complex], complex]
     maps: ClosedMaps
-    oracle: Optional[Callable[[int], list]]
     notes: tuple
 
 
@@ -135,90 +128,6 @@ def _lambertw(z: complex) -> complex:
     return w
 
 
-def _series_fg(label: str, order: int):
-    x = TruncatedSeries.x(order)
-    one = TruncatedSeries.one(order)
-    if label == "hermite":
-        return x.scale(Fraction(1, 2)), exp_series(
-            TruncatedSeries.from_coeffs([0, 0, Fraction(1, 4)], order)
-        )
-    if label == "laguerre":
-        return x * (x - 1).reciprocal(), (one - x).reciprocal()
-    if label == "bessel":
-        return TruncatedSeries.from_coeffs([0, 1, Fraction(-1, 2)], order), one
-    if label == "bell":
-        return log_series(one + x), one
-    if label == "lower_factorial":
-        return exp_series(x) - 1, one
-    if label == "hahn":
-        return tan_series(x), cos_series(x).reciprocal()
-    if label == "idempotent":
-        return (x * exp_series(x)).comp_inverse(), one
-    raise UnknownFamily(f"no family named {label!r}; known: {', '.join(FAMILY_LABELS)}")
-
-
-_EGFS = {
-    "hermite": lambda lam, x: cmath.exp(2 * lam * x - lam * lam),
-    "laguerre": lambda lam, x: cmath.exp(x * lam / (lam - 1)) / (1 - lam),
-    "bessel": lambda lam, x: cmath.exp(x * (1 - cmath.sqrt(1 - 2 * lam))),
-    "bell": lambda lam, x: cmath.exp(x * (cmath.exp(lam) - 1)),
-    "lower_factorial": lambda lam, x: cmath.exp(x * cmath.log(1 + lam)),
-    "hahn": lambda lam, x: cmath.exp(x * cmath.atan(lam)) / cmath.sqrt(1 + lam * lam),
-    "idempotent": lambda lam, x: cmath.exp(x * lam * cmath.exp(lam)),
-}
-
-_MAPS = {
-    "hermite": ClosedMaps(
-        f=lambda w: w / 2, finv=lambda w: 2 * w, g=lambda w: cmath.exp(w * w / 4)
-    ),
-    "laguerre": ClosedMaps(
-        f=lambda w: w / (w - 1), finv=lambda w: w / (w - 1), g=lambda w: 1 / (1 - w)
-    ),
-    "bessel": ClosedMaps(
-        f=lambda w: w - w * w / 2,
-        finv=lambda w: 1 - cmath.sqrt(1 - 2 * w),
-        g=lambda w: 1.0 + 0j,
-    ),
-    "bell": ClosedMaps(
-        f=lambda w: cmath.log(1 + w), finv=lambda w: cmath.exp(w) - 1, g=lambda w: 1.0 + 0j
-    ),
-    "lower_factorial": ClosedMaps(
-        f=lambda w: cmath.exp(w) - 1, finv=lambda w: cmath.log(1 + w), g=lambda w: 1.0 + 0j
-    ),
-    "hahn": ClosedMaps(
-        f=cmath.tan, finv=cmath.atan, g=lambda w: 1 / cmath.cos(w)
-    ),
-    "idempotent": ClosedMaps(
-        f=_lambertw, finv=lambda w: w * cmath.exp(w), g=lambda w: 1.0 + 0j
-    ),
-}
-
-# egf-variable trust radius; coherent-verifier guards (|z'| and |lambda|).
-_GUARDS = {
-    "hermite": (2.0, 1.0, 1.0),
-    "laguerre": (1.0, 0.5, 0.3),
-    "bessel": (0.5, 0.25, 0.12),
-    "bell": (2.0, 1.0, 1.0),
-    "lower_factorial": (1.0, 1.0, 0.2),
-    "hahn": (1.0, 0.8, 0.15),
-    "idempotent": (2.0, 0.12, 0.3),
-}
-
-_NOTES = {
-    "laguerre": (
-        "vacuum moments follow n!*L_n(z*): the coherent-state verifier "
-        "confirms <z|M^n|0> = n!*L_n(z*)<z|0> and rejects the shifted "
-        "indexing n!*L_{n-1}(z*) (see the coherent suite's adjudication rows)",
-    ),
-    "hahn": (
-        "coherent matrix element: the composed exponent "
-        "arctan(lambda + tan z') matches the numeric verifier; the variant "
-        "arctan(lambda * tan z') does not (see the coherent suite's "
-        "adjudication rows)",
-    ),
-}
-
-
 def _hermite_oracle(n_max: int) -> list:
     # three-term recurrence H_{n+1} = 2x H_n - 2n H_{n-1}
     polys = [Polynomial.one(), Polynomial.from_coeffs([0, 2])]
@@ -272,32 +181,109 @@ def _idempotent_oracle(n_max: int) -> list:
     return polys
 
 
-_ORACLES = {
-    "hermite": _hermite_oracle,
-    "laguerre": _laguerre_oracle,
-    "bell": _bell_oracle,
-    "lower_factorial": _lower_factorial_oracle,
-    "idempotent": _idempotent_oracle,
+# a NamedTuple, not a frozen dataclass: it is built at import, where a dataclass
+# costs about 1 ms more
+class _Family(NamedTuple):
+    """Everything the catalog knows about one family; ``fg`` maps (x, 1) to (f, g)."""
+
+    fg: Callable[[TruncatedSeries, TruncatedSeries], tuple]
+    closed_egf: Callable[[complex, complex], complex]
+    maps: ClosedMaps
+    guard_radius: float
+    z_guard: float
+    lam_guard: float
+    oracle: Optional[Callable[[int], list]] = None
+    notes: tuple = ()
+
+
+# In this order: ``list`` and ``verify`` print the families in it, and the
+# coherent suite seeds a family's draws with its index.
+_FAMILIES = {
+    "hermite": _Family(
+        fg=lambda x, one: (x.scale(Fraction(1, 2)), exp_series((x * x).scale(Fraction(1, 4)))),
+        closed_egf=lambda lam, x: cmath.exp(2 * lam * x - lam * lam),
+        maps=ClosedMaps(f=lambda w: w / 2, finv=lambda w: 2 * w, g=lambda w: cmath.exp(w * w / 4)),
+        guard_radius=2.0, z_guard=1.0, lam_guard=1.0,
+        oracle=_hermite_oracle,
+    ),
+    "laguerre": _Family(
+        fg=lambda x, one: (x * (x - 1).reciprocal(), (one - x).reciprocal()),
+        closed_egf=lambda lam, x: cmath.exp(x * lam / (lam - 1)) / (1 - lam),
+        maps=ClosedMaps(f=lambda w: w / (w - 1), finv=lambda w: w / (w - 1),
+                        g=lambda w: 1 / (1 - w)),
+        guard_radius=1.0, z_guard=0.5, lam_guard=0.3,
+        oracle=_laguerre_oracle,
+        notes=(
+            "vacuum moments follow n!*L_n(z*): the coherent-state verifier "
+            "confirms <z|M^n|0> = n!*L_n(z*)<z|0> and rejects the shifted "
+            "indexing n!*L_{n-1}(z*) (see the coherent suite's adjudication rows)",
+        ),
+    ),
+    "bessel": _Family(
+        fg=lambda x, one: (x - (x * x).scale(Fraction(1, 2)), one),
+        closed_egf=lambda lam, x: cmath.exp(x * (1 - cmath.sqrt(1 - 2 * lam))),
+        maps=ClosedMaps(f=lambda w: w - w * w / 2, finv=lambda w: 1 - cmath.sqrt(1 - 2 * w)),
+        guard_radius=0.5, z_guard=0.25, lam_guard=0.12,
+    ),
+    "bell": _Family(
+        fg=lambda x, one: (log_series(one + x), one),
+        closed_egf=lambda lam, x: cmath.exp(x * (cmath.exp(lam) - 1)),
+        maps=ClosedMaps(f=lambda w: cmath.log(1 + w), finv=lambda w: cmath.exp(w) - 1),
+        guard_radius=2.0, z_guard=1.0, lam_guard=1.0,
+        oracle=_bell_oracle,
+    ),
+    "lower_factorial": _Family(
+        fg=lambda x, one: (exp_series(x) - 1, one),
+        closed_egf=lambda lam, x: cmath.exp(x * cmath.log(1 + lam)),
+        maps=ClosedMaps(f=lambda w: cmath.exp(w) - 1, finv=lambda w: cmath.log(1 + w)),
+        guard_radius=1.0, z_guard=1.0, lam_guard=0.2,
+        oracle=_lower_factorial_oracle,
+    ),
+    "hahn": _Family(
+        fg=lambda x, one: (tan_series(x), cos_series(x).reciprocal()),
+        closed_egf=lambda lam, x: cmath.exp(x * cmath.atan(lam)) / cmath.sqrt(1 + lam * lam),
+        maps=ClosedMaps(f=cmath.tan, finv=cmath.atan, g=lambda w: 1 / cmath.cos(w)),
+        guard_radius=1.0, z_guard=0.8, lam_guard=0.15,
+        notes=(
+            "coherent matrix element: the composed exponent "
+            "arctan(lambda + tan z') matches the numeric verifier; the variant "
+            "arctan(lambda * tan z') does not (see the coherent suite's "
+            "adjudication rows)",
+        ),
+    ),
+    "idempotent": _Family(
+        fg=lambda x, one: ((x * exp_series(x)).comp_inverse(), one),
+        closed_egf=lambda lam, x: cmath.exp(x * lam * cmath.exp(lam)),
+        maps=ClosedMaps(f=_lambertw, finv=lambda w: w * cmath.exp(w)),
+        guard_radius=2.0, z_guard=0.12, lam_guard=0.3,
+        oracle=_idempotent_oracle,
+    ),
 }
+
+FAMILY_LABELS = tuple(_FAMILIES)
+
+
+def _record(label: str) -> _Family:
+    record = _FAMILIES.get(label)
+    if record is None:
+        raise UnknownFamily(f"no family named {label!r}; known: {', '.join(FAMILY_LABELS)}")
+    return record
 
 
 @lru_cache(maxsize=64)
 def family(label: str, order: int = 16) -> FamilyEntry:
     """Construct a catalog entry at the requested truncation order."""
-    if label not in FAMILY_LABELS:
-        raise UnknownFamily(f"no family named {label!r}; known: {', '.join(FAMILY_LABELS)}")
-    f, g = _series_fg(label, order)
-    guard_radius, z_guard, lam_guard = _GUARDS[label]
+    record = _record(label)
+    f, g = record.fg(TruncatedSeries.x(order), TruncatedSeries.one(order))
     return FamilyEntry(
         label=label,
         pair=ShefferPair(f, g, label=label),
-        guard_radius=guard_radius,
-        z_guard=z_guard,
-        lam_guard=lam_guard,
-        closed_egf=_EGFS[label],
-        maps=_MAPS[label],
-        oracle=_ORACLES.get(label),
-        notes=_NOTES.get(label, ()),
+        guard_radius=record.guard_radius,
+        z_guard=record.z_guard,
+        lam_guard=record.lam_guard,
+        closed_egf=record.closed_egf,
+        maps=record.maps,
+        notes=record.notes,
     )
 
 
@@ -307,20 +293,18 @@ def oracle_polys(label: str, n_max: int) -> list:
     Families without a classical recurrence/sum oracle (bessel, hahn) fall
     back to the generating-function expansion at doubled truncation order.
     """
-    if label not in FAMILY_LABELS:
-        raise UnknownFamily(f"no family named {label!r}; known: {', '.join(FAMILY_LABELS)}")
-    oracle = _ORACLES.get(label)
-    if oracle is not None:
-        return oracle(n_max)
-    entry = family(label, 2 * n_max + 2)
-    return list(sequence_via_egf(entry.pair, n_max).polys)
+    record = _record(label)
+    _check_degree(n_max, "n_max")
+    if record.oracle is not None:
+        return record.oracle(n_max)
+    return list(sequence_via_egf(family(label, 2 * n_max + 2).pair, n_max).polys)
 
 
 def egf_eval(label: str, lam: complex, x: complex) -> complex:
     """Closed-form generating-function value, guarded at the trust radius."""
-    entry = family(label)
-    if abs(lam) > entry.guard_radius:
+    record = _record(label)
+    if abs(lam) > record.guard_radius:
         raise GuardExceeded(
-            f"|lambda| = {abs(lam):.6g} exceeds {label} guard {entry.guard_radius:.6g}"
+            f"|lambda| = {abs(lam):.6g} exceeds {label} guard {record.guard_radius:.6g}"
         )
-    return entry.closed_egf(complex(lam), complex(x))
+    return record.closed_egf(complex(lam), complex(x))

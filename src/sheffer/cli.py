@@ -16,8 +16,9 @@ Each subcommand takes the flags of the run settings it reads, and reads
 their SHEFFER_* environment variables when the flag is absent (a flag
 beats its variable): ``list`` and ``gen`` read ORDER and FORMAT,
 ``normal-order`` ORDER, LAMBDA_ORDER, A_ORDER and FORMAT,
-``matrix-element`` ORDER, CUTOFF, TOL and FORMAT, and ``verify`` all eight
-(those and DRAWS, SEED). A variable a subcommand does not read is ignored.
+``matrix-element`` ORDER and FORMAT, and CUTOFF and TOL with --fock-check,
+and ``verify`` all eight (those and DRAWS, SEED). A variable a subcommand
+does not read is ignored.
 """
 
 from __future__ import annotations
@@ -363,6 +364,8 @@ class RunConfig:
             raise ValueError(f"cutoff must be at least {MIN_CUTOFF}, got {self.cutoff}")
         if not 0 < self.tol < 1:
             raise ValueError("tolerance must be in (0, 1)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
@@ -382,8 +385,12 @@ _SETTINGS = {
 }
 
 
-def config_from(args) -> RunConfig:
-    """RunConfig from the settings the subcommand declares: flag, else variable."""
+def config_from(args, unread=()) -> RunConfig:
+    """RunConfig from the settings the subcommand declares: flag, else variable.
+
+    The variables of the settings named in ``unread`` are not read: this run
+    has no use for them.
+    """
     values = {}
     for name, (_, env_name, cast, _) in _SETTINGS.items():
         if name not in vars(args):
@@ -391,7 +398,7 @@ def config_from(args) -> RunConfig:
         flag = getattr(args, name)
         if flag is not None:
             values[name] = flag
-        elif env_name in os.environ:
+        elif env_name in os.environ and name not in unread:
             text = os.environ[env_name]
             try:
                 values[name] = cast(text)
@@ -567,7 +574,8 @@ def _cmd_normal_order(args) -> int:
 
 
 def _cmd_matrix_element(args) -> int:
-    cfg = config_from(args)
+    # only the Fock check reads the cutoff and the tolerance
+    cfg = config_from(args, unread=() if args.fock_check else ("cutoff", "tol"))
     entry = family(args.family, cfg.order)
     z, zp, lam = args.z, args.zp, args.lam
     check_coherent_guards(zp, lam, entry.z_guard, entry.lam_guard)

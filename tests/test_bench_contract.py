@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from sheffer import cli
+from sheffer.catalog import _FAMILIES, FAMILY_LABELS
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 _SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
@@ -50,3 +51,11 @@ def test_benchmark_check_accepts_the_cli_output(name):
 def test_verify_suites_are_the_benchmark_suites():
     # verify-all reports one metric per suite name, in this order
     assert cli._SUITE_NAMES == workloads.SUITES
+
+
+def test_catalog_families_are_the_benchmark_families():
+    # exact-highorder runs the families in this order, and checks the ones
+    # with an independent oracle against it
+    assert FAMILY_LABELS == workloads.FAMILIES
+    with_oracle = tuple(label for label, record in _FAMILIES.items() if record.oracle)
+    assert with_oracle == workloads.ORACLE_FAMILIES

@@ -10,6 +10,7 @@ import pytest
 from sheffer import (
     FAMILY_LABELS,
     GuardExceeded,
+    IndexOutOfRange,
     Polynomial,
     TruncatedSeries,
     UnknownFamily,
@@ -92,6 +93,12 @@ def test_oracle_seed_values():
     assert bell[0] == Polynomial.one()
     assert bell[1] == Polynomial.x()
     assert bell[2] == Polynomial.from_coeffs([0, 1, 1])
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_negative_oracle_degree_is_out_of_range(label):
+    with pytest.raises(IndexOutOfRange):
+        oracle_polys(label, -1)
 
 
 def test_generated_sequences_match_oracles():

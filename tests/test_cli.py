@@ -150,13 +150,14 @@ def test_config_flag_beats_env(monkeypatch):
     assert config_from(args).order == 8
 
 
+_MATRIX_ELEMENT = ("matrix-element", "--family", "hermite", "--z", "0.1", "--zp", "0.1",
+                   "--lambda", "0.05")
 # the setting flags each subcommand takes; every other setting flag is refused
 SUBCOMMAND_SETTINGS = {
     ("list",): {"--order", "--format"},
     ("gen", "--family", "hermite", "--n", "2"): {"--order", "--format"},
     ("normal-order", "--family", "bell"): {"--order", "--lambda-order", "--a-order", "--format"},
-    ("matrix-element", "--family", "hermite", "--z", "0.1", "--zp", "0.1", "--lambda", "0.05"):
-        {"--order", "--cutoff", "--tol", "--format"},
+    _MATRIX_ELEMENT: {"--order", "--cutoff", "--tol", "--format"},
     ("verify",): {"--order", "--lambda-order", "--a-order", "--cutoff", "--tol", "--format",
                   "--draws", "--seed"},
 }
@@ -187,7 +188,8 @@ def test_a_setting_flag_the_subcommand_does_not_read_is_a_usage_error():
 @pytest.mark.parametrize(
     "argv",
     [("list",), ("gen", "--family", "hermite", "--n", "2"),
-     ("normal-order", "--family", "bell", "--lambda-order", "2", "--a-order", "2")],
+     ("normal-order", "--family", "bell", "--lambda-order", "2", "--a-order", "2"),
+     _MATRIX_ELEMENT],
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("env", ["SHEFFER_CUTOFF=16", "SHEFFER_TOL=5", "SHEFFER_DRAWS=0"])
@@ -196,6 +198,25 @@ def test_a_variable_the_subcommand_does_not_read_is_ignored(capsys, monkeypatch,
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert json.loads(out)
+
+
+@pytest.mark.parametrize("env", ["SHEFFER_CUTOFF=16", "SHEFFER_TOL=5"])
+def test_matrix_element_fock_check_reads_the_fock_variables(capsys, monkeypatch, env):
+    # without --fock-check they are ignored (the test above)
+    monkeypatch.setenv(*env.split("="))
+    code, out, err = run_cli(capsys, *_MATRIX_ELEMENT, "--fock-check")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, env", [(("--seed", "-1"), None), ((), "SHEFFER_SEED=-3")],
+                         ids=["flag", "variable"])
+def test_negative_seed_is_a_usage_error(capsys, monkeypatch, flag, env):
+    if env:
+        monkeypatch.setenv(*env.split("="))
+    code, out, err = run_cli(capsys, "verify", "commutator", *flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: seed must be non-negative")
 
 
 def test_config_validation():
@@ -537,6 +558,13 @@ GOLDEN_STDOUT = {
         "050b412df3411ff20889849ff0b75c531d087c7820a40c8a1e552eb324fbfc8f",
     ("gen", "--f", "x + (1/3)*x^2", "--g", "exp((1/2)*x)", "--n", "8", "--coeffs"):
         "868e9f9e8cdd825d63e93d88ad6acefc581e4e5375622f77c6a5ab4c02101966",
+    # recorded before the catalog families became one record each; the second
+    # runs the Lambert W map
+    ("verify", "coherent", "--seed", "7"):
+        "6458423d2ec505b983ad56449c6e2b4ca1faa90f446e0daf039db86b5e8ac37c",
+    ("matrix-element", "--family", "idempotent", "--z", "0.3,0.1", "--zp", "0,0.1",
+     "--lambda", "0.1,0", "--fock-check"):
+        "4edcc34b9726ff76e1c83fc4122c9bff1497dd9d8a9946be660b6627eaf5cf9a",
 }
 
 
