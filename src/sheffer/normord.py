@@ -3,22 +3,28 @@
 Under the correspondence X <-> a-dagger, D <-> a, the raising operator of a
 Sheffer pair is linear in a-dagger, and exp(lambda*M) has an exactly
 computable normally ordered form, built here two independent ways: the
-operator powers M^n, each the previous one times the X-linear M from the
-right (``normal_order_lhs``), and the pair's finv and prefactor 1/g(finv)
+operator powers M^n, one integer row in D per X-power, each the previous
+one times the X-linear M = X*k(D) + d(D) from the right, which reads row by
+row as row'_i = (row_(i-1) + d/dD row_i) * k + row_i * d
+(``normal_order_lhs``); and the pair's finv and prefactor 1/g(finv)
 evaluated at lambda + f(a) by a Taylor shift over one table of the powers
-of f(a) (``normal_order_rhs``), with exact term-by-term comparison
-(``verify_normal_order``). The floating-point coherent-state layer is
+of f(a) (``normal_order_rhs``). Both routes run their row products on
+Kronecker-packed integers (``series._kpack``) and keep their rows as
+integers over one denominator per power; ``verify_normal_order`` compares
+them cell by cell by cross-multiplication, without building a
+``Fraction``. The floating-point coherent-state layer is
 ``sheffer.fock``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, gcd
-from operator import add, mul
+from operator import mul
 
 from .errors import OrderExceeded
-from .series import TruncatedSeries, _common_denominator, _iconv
+from .series import TruncatedSeries, _common_denominator, _iconv, _kpack, _kunpack, _kwidth
 from .sequences import ShefferPair, _check_degree, build_M, pair_finv, pair_prefactor
 from .weyl import WeylElement
 
@@ -118,28 +124,26 @@ def _shift_at_fa(series: TruncatedSeries, columns: list, fd_powers: list, lam_or
 
 def _reduced(rows: list, den: int):
     """Integer rows over den, divided through by their common gcd."""
-    g = gcd(den, *(c for row in rows for c in row))
+    g = gcd(den, *chain.from_iterable(rows))
     if g > 1:
         rows = [[c // g for c in row] for row in rows]
         den //= g
     return rows, den
 
 
-def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> NormallyOrderedSeries:
-    """Composed-series normally ordered form of exp(lam*M).
+def _series(cells, lam_order: int, a_order: int) -> NormallyOrderedSeries:
+    """The series of (adag power, a power, lambda power, numerator,
+    denominator) cells; zero numerators are skipped."""
+    terms: dict = {}
+    for i, j, k, c, den in cells:
+        if c:
+            terms.setdefault((i, j), [_ZERO] * (lam_order + 1))[k] = Fraction(c, den)
+    return NormallyOrderedSeries(terms, lam_order, a_order)
 
-    Builds E(lam, a) = finv(lam + f(a)) - a and
-    R(lam, a) = g(a)/g(finv(lam + f(a))) as exact series truncated at
-    lam^lam_order and a^a_order, then expands :exp(adag*E)*R: so the
-    coefficient of adag^i is E^i/i! * R. No bivariate composition is
-    needed: finv and the prefactor 1/g(finv) are univariate series of the
-    pair's cached core, and each is evaluated at lam + f(a) by a Taylor
-    shift over one table of the powers f(a)^0..f(a)^a_order. Every
-    bivariate series is kept as integer rows in lambda over one common
-    denominator; row 0 of E is zero, since finv(f(a)) = a. Requires series
-    order >= lam_order + a_order because mixed terms of the composition
-    reach that depth.
-    """
+
+def _rhs_rows(pair: ShefferPair, lam_order: int, a_order: int) -> list:
+    """(rows, den) per adag power i = 0..lam_order, where rows[p][q] / den is
+    the lambda^p a^q coefficient of E^i R / i!; see ``normal_order_rhs``."""
     _check_orders(pair, lam_order, a_order)
     width = a_order + 1
     f_nums, fd = _common_denominator(pair.f.coeffs[:width])
@@ -156,24 +160,80 @@ def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
     g_nums, gd = _common_denominator(pair.g.coeffs[:width])
     acc, den = _reduced([_iconv(g_nums, row, a_order) for row in q_rows], gd * q_den)
 
-    terms: dict = {}
-    for i in range(lam_order + 1):
-        if i:
-            # acc * E in lambda; acc vanishes below row i - 1 and E at row 0
-            out = [[0] * width for _ in range(lam_order + 1)]
-            for p1 in range(i - 1, lam_order):
-                for p2 in range(1, lam_order + 1 - p1):
-                    out[p1 + p2] = list(
-                        map(add, out[p1 + p2], _iconv(acc[p1], e_rows[p2], a_order))
-                    )
-            acc, den = _reduced(out, den * e_den)
-        scale = den * factorial(i)
-        for p, row in enumerate(acc):
-            for q, c in enumerate(row):
-                if c:
-                    poly = terms.setdefault((i, q), [_ZERO] * (lam_order + 1))
-                    poly[p] = Fraction(c, scale)
-    return NormallyOrderedSeries(terms, lam_order, a_order)
+    out = [(acc, den)]
+    for i in range(1, lam_order + 1):
+        # acc * E in lambda, summed packed over p1 + p2 = p; acc vanishes
+        # below row i - 1 and E at row 0, so row p sums p - i + 1 products
+        slot = _kwidth(acc, e_rows, width * (lam_order + 1 - i))
+        left = [_kpack(row, slot) for row in acc[i - 1 : lam_order]]
+        right = [_kpack(row, slot) for row in e_rows[1 : lam_order + 2 - i]]
+        rows = [[0] * width for _ in range(i)]
+        for m in range(len(left)):
+            total = sum(map(mul, left[: m + 1], reversed(right[: m + 1])))
+            rows.append(_kunpack(total, slot, width))
+        acc, den = _reduced(rows, den * e_den)
+        out.append((acc, den * factorial(i)))
+    return out
+
+
+def normal_order_rhs(pair: ShefferPair, lam_order: int, a_order: int) -> NormallyOrderedSeries:
+    """Composed-series normally ordered form of exp(lam*M).
+
+    Builds E(lam, a) = finv(lam + f(a)) - a and
+    R(lam, a) = g(a)/g(finv(lam + f(a))) as exact series truncated at
+    lam^lam_order and a^a_order, then expands :exp(adag*E)*R: so the
+    coefficient of adag^i is E^i/i! * R. No bivariate composition is
+    needed: finv and the prefactor 1/g(finv) are univariate series of the
+    pair's cached core, and each is evaluated at lam + f(a) by a Taylor
+    shift over one table of the powers f(a)^0..f(a)^a_order. Every
+    bivariate series is kept as integer rows in lambda over one common
+    denominator; row 0 of E is zero, since finv(f(a)) = a. Each step's
+    products over lambda are summed on Kronecker-packed rows (``_kpack``)
+    and each output row is unpacked once. Requires series order >=
+    lam_order + a_order because mixed terms of the composition reach that
+    depth.
+    """
+    cells = (
+        (i, q, p, c, den)
+        for i, (rows, den) in enumerate(_rhs_rows(pair, lam_order, a_order))
+        for p, row in enumerate(rows)
+        for q, c in enumerate(row)
+    )
+    return _series(cells, lam_order, a_order)
+
+
+def _lhs_rows(pair: ShefferPair, lam_order: int, a_order: int) -> list:
+    """(rows, den) per power n = 0..lam_order, where rows[i][j] / den is the
+    X^i D^j coefficient of M^n / n! for j <= a_order; see
+    ``normal_order_lhs``."""
+    _check_orders(pair, lam_order, a_order)
+    depth = lam_order + a_order
+    # the lambda^0 term needs no M; from lambda^1 on, depth - 1 >= 0
+    m_op = build_M(pair, depth - 1) if lam_order else WeylElement.zero()
+    m_num, m_den = _common_denominator(list(m_op.terms.values()))
+    k, d = [0] * depth, [0] * depth  # numerators of X*D^t and of D^t in M
+    for (i, t), c in zip(m_op.terms, m_num):
+        (k if i else d)[t] = c
+
+    power, den = [[1] + [0] * depth], 1
+    out = [([power[0][: a_order + 1]], den)]
+    for n in range(1, lam_order + 1):
+        size = depth - n + 1  # D-powers 0..cap
+        rows = [row[:size] for row in power]
+        slopes = [list(map(mul, range(1, size + 1), row[1:])) for row in power]
+        slot = _kwidth(rows + slopes, (k, d), 3 * size)
+        k_packed, d_packed = _kpack(k[:size], slot), _kpack(d[:size], slot)
+        # the old power has no X^-1 and no X^n row: p[-1], p[n] and q[n]
+        # read the appended zero
+        p = [_kpack(row, slot) for row in rows] + [0]
+        q = [_kpack(row, slot) for row in slopes] + [0]
+        power = [
+            _kunpack((p[i - 1] + q[i]) * k_packed + p[i] * d_packed, slot, size)
+            for i in range(n + 1)
+        ]
+        power, den = _reduced(power, den * m_den)
+        out.append(([row[: a_order + 1] for row in power], den * factorial(n)))
+    return out
 
 
 def normal_order_lhs(pair: ShefferPair, lam_order: int, a_order: int) -> NormallyOrderedSeries:
@@ -181,85 +241,49 @@ def normal_order_lhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
 
     Expands sum lam^n M^n / n! with M read as a boson operator, deliberately
     independent of the coherent-state route. M = X*k(D) - (h*k)(D) is built
-    once and is linear in X, so each power is the previous one times M from
-    the right: first X^i D^j X = X^{i+1} D^j + j X^i D^{j-1}, then a shift
-    of the D-power by each term of k, plus a shift by each term of -h*k.
-    This lands in normal form with no binomials. One factor of M lowers the
-    D-power by at most one, so at step n a monomial with D-power above
-    a_order + lam_order - n can never reach the recorded D-powers
-    (<= a_order); it is skipped inside the loop instead of computed. The
+    once and is linear in X, so M^n keeps one integer row in D per X-power,
+    and the next power is the previous one times M from the right. Since
+    D^j X = X D^j + j D^(j-1), the X^i row of M^(n+1) is
+    (row_(i-1) + row_i') * k + row_i * (-h*k), with ' the derivative in D.
+    One factor of M lowers the D-power by at most one, so at step n a
+    D-power above cap = a_order + lam_order - n can never come back to the
+    recorded D-powers (<= a_order); every row is truncated at cap. The
     same cap never lets a D^(lam_order + a_order) term of M contribute, so
     M is built at D-truncation lam_order + a_order - 1, and series order
-    lam_order + a_order suffices, as for ``normal_order_rhs``. Numerators
-    are kept as integers over one running common denominator, reduced by
-    their gcd after every factor.
+    lam_order + a_order suffices, as for ``normal_order_rhs``. The row
+    products run on Kronecker-packed rows (``_kpack``), and the rows stay
+    integers over one running common denominator, reduced by their gcd
+    after every factor.
     """
-    _check_orders(pair, lam_order, a_order)
-    depth = lam_order + a_order
-    # the lambda^0 term needs no M; from lambda^1 on, depth - 1 >= 0
-    m_op = build_M(pair, depth - 1) if lam_order else WeylElement.zero()
-    m_num, m_den = _common_denominator(list(m_op.terms.values()))
-    k_part, d_part = [], []  # (t, numerator) of X*D^t and of D^t, t ascending
-    for (i, t), c in sorted(zip(m_op.terms, m_num)):
-        (k_part if i else d_part).append((t, c))
-    terms: dict = {}
-
-    def record(power: dict, den: int, n: int):
-        den *= factorial(n)
-        for (i, j), c in power.items():
-            if j <= a_order:
-                poly = terms.setdefault((i, j), [_ZERO] * (lam_order + 1))
-                poly[n] = Fraction(c, den)
-
-    power, den = {(0, 0): 1}, 1
-    record(power, den, 0)
-    for n in range(1, lam_order + 1):
-        cap = depth - n
-        out: dict = {}
-        for (i, j), e in power.items():
-            for t, c in k_part:
-                d = j + t - 1
-                if d > cap:
-                    break
-                if j:
-                    out[(i, d)] = out.get((i, d), 0) + e * j * c
-                if d < cap:
-                    out[(i + 1, d + 1)] = out.get((i + 1, d + 1), 0) + e * c
-            for t, c in d_part:
-                d = j + t
-                if d > cap:
-                    break
-                out[(i, d)] = out.get((i, d), 0) + e * c
-        power = {key: c for key, c in out.items() if c}
-        den *= m_den
-        g = gcd(den, *power.values())
-        if g > 1:
-            power = {key: c // g for key, c in power.items()}
-            den //= g
-        record(power, den, n)
-    return NormallyOrderedSeries(terms, lam_order, a_order)
+    cells = (
+        (i, j, n, c, den)
+        for n, (rows, den) in enumerate(_lhs_rows(pair, lam_order, a_order))
+        for i, row in enumerate(rows)
+        for j, c in enumerate(row)
+    )
+    return _series(cells, lam_order, a_order)
 
 
 def verify_normal_order(pair: ShefferPair, lam_order: int, a_order: int) -> list:
     """Exact term-by-term comparison of the two normal-ordering routes.
 
     Returns one row per (adag power, a power, lambda power) where either
-    route has a nonzero coefficient; failures are rows, not exceptions.
+    route has a nonzero coefficient, in that order; failures are rows, not
+    exceptions. The routes' integer rows are compared directly: the lhs
+    cell l / l_den (row recurrence of M^n / n!) equals the rhs cell
+    r / r_den (E^i R / i!) iff l * r_den == r * l_den, so no ``Fraction``
+    is built.
     """
-    lhs = normal_order_lhs(pair, lam_order, a_order)
-    rhs = normal_order_rhs(pair, lam_order, a_order)
+    lhs = _lhs_rows(pair, lam_order, a_order)
+    rhs = _rhs_rows(pair, lam_order, a_order)
     rows = []
-    for key in sorted(set(lhs.terms) | set(rhs.terms)):
-        left = lhs.coefficient(*key)
-        right = rhs.coefficient(*key)
-        for k in range(lam_order + 1):
-            if left[k] or right[k]:
-                rows.append(
-                    {
-                        "adag": key[0],
-                        "a": key[1],
-                        "lambda_power": k,
-                        "pass": left[k] == right[k],
-                    }
-                )
+    for i, (right, r_den) in enumerate(rhs):
+        for j in range(a_order + 1):
+            for k, (left, l_den) in enumerate(lhs):
+                l = left[i][j] if i < len(left) else 0
+                r = right[k][j]
+                if l or r:
+                    rows.append(
+                        {"adag": i, "a": j, "lambda_power": k, "pass": l * r_den == r * l_den}
+                    )
     return rows

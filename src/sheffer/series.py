@@ -18,7 +18,10 @@ on integers over one running denominator, keeping the value at outer
 index k only to x^(n-k) since it is later multiplied by inner^k. The
 compositional inverse is Newton order-doubling with one composition per
 step: g <- g - (a(g) - x) g', because g' = 1/a'(g) to the order that g is
-already right to.
+already right to. Sums of integer row products that are reused, as in
+``normord``, run on Kronecker substitution instead: ``_kpack`` packs a row
+into one integer at a slot width ``_kwidth`` derives from the operands,
+and ``_kunpack`` reads the summed product back.
 
 `SparseTerms` is the one linear structure of the exponent-keyed sums of
 monomials: bivariate polynomials here, Weyl-algebra elements in ``weyl``
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence, Union
@@ -87,6 +91,63 @@ def _iconv(a, b, n):
         hi = min(k, la - 1)
         out.append(sum(map(mul, a[lo : hi + 1], rb[lb - 1 - k + lo : lb - k + hi])))
     return out + [0] * (n + 1 - len(out))
+
+
+def _kwidth(a_rows, b_rows, terms):
+    """Bytes per slot for sums of products of rows from a_rows and b_rows
+    in which no coefficient sums more than ``terms`` entry products; the
+    bound is derived at ``_kpack``."""
+    bits = max(map(int.bit_length, chain(*a_rows)), default=0)
+    bits += max(map(int.bit_length, chain(*b_rows)), default=0)
+    return (bits + (terms - 1).bit_length() + 8) // 8
+
+
+def _kbalance(width, count):
+    """count slots of width bytes, each holding B/2 = 2^(8*width - 1)."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _kpack(row, width):
+    """A signed integer row as one integer in base B = 2^(8*width).
+
+    Kronecker substitution: packing is linear, and the product of two packed
+    rows is the packed product of the rows, so a sum of row products over
+    packed operands, sum_p pack(a_p) * pack(b_p), is sum_k c_k B^k with c_k
+    the coefficients of sum_p a_p * b_p; CPython's multiply runs the inner
+    loops. ``_kunpack`` reads c_k back exactly when every c_k read lies in
+    [-B/2, B/2). If each entry of every a_p is below 2^alpha in magnitude,
+    each entry of every b_p below 2^beta, and each c_k sums at most T entry
+    products, then |c_k| < T * 2^(alpha + beta) <= 2^(alpha + beta +
+    ceil(log2 T)). So ``_kwidth`` takes the least whole number of bytes with
+    8*width - 1 >= alpha + beta + ceil(log2 T), where ceil(log2 T) is
+    (T - 1).bit_length(). Operand entries then lie in [-B/2, B/2) too, so
+    each c + B/2 fills its slot without a carry. Trailing zero entries are
+    not packed.
+    """
+    end = len(row)
+    while end and not row[end - 1]:
+        end -= 1
+    half = 1 << (8 * width - 1)
+    packed = b"".join((c + half).to_bytes(width, "little") for c in row[:end])
+    return int.from_bytes(packed, "little") - _kbalance(width, end)
+
+
+def _kunpack(value, width, count):
+    """Slots 0..count-1 of a packed value, each read as a balanced residue.
+
+    value + sum_k B^k B/2 holds c_k + B/2 in [0, B) in slot k, free of
+    borrows; flipping each slot's top bit and reading it as signed gives c_k.
+    If slot t is the top nonzero one, the slots below it sum to less than
+    B^t * B / (2(B - 1)) in magnitude, so |value| > B^t / 4 and t <=
+    ceil(bits(value) / (8*width)); the slots past that are zero, not read.
+    """
+    used = min(count, -(-value.bit_length() // (8 * width)) + 1)
+    size = width * used
+    balance = _kbalance(width, used)
+    low = ((value + balance) & ((1 << 8 * size) - 1)) ^ balance
+    raw = memoryview(low.to_bytes(size, "little"))
+    out = [int.from_bytes(raw[k : k + width], "little", signed=True) for k in range(0, size, width)]
+    return out + [0] * (count - used)
 
 
 def _kmul(a, b, n):

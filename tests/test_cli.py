@@ -341,9 +341,12 @@ def test_verify_family_and_all_together_are_a_usage_error(capsys):
 
 
 def test_verify_unknown_family_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "verify", "monomiality", "--family", "nosuch")
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "monomiality", "--family", "nosuch"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
     assert "nosuch" in err
+    assert "hermite" in err  # the usage error lists the known labels
 
 
 def test_gen_domain_error_exit_three(capsys):
@@ -565,6 +568,15 @@ GOLDEN_STDOUT = {
     ("matrix-element", "--family", "idempotent", "--z", "0.3,0.1", "--zp", "0,0.1",
      "--lambda", "0.1,0", "--fock-check"):
         "4edcc34b9726ff76e1c83fc4122c9bff1497dd9d8a9946be660b6627eaf5cf9a",
+    # recorded before both normal-ordering routes moved onto packed integer
+    # rows; the last runs the CLI's Fraction route at depth
+    ("verify", "normal-order", "--seed", "7"):
+        "38606b4dc989fd1cbc9e5aad9f6590e9d7762f57026040d101eb88779e213af2",
+    ("verify", "normal-order", "--family", "lower_factorial", "--lambda-order", "12",
+     "--a-order", "16"):
+        "5181862b60bc141f6729142bcdac0f2d42e59b99bacb2431f1b6ce0c47c37055",
+    ("normal-order", "--family", "hahn", "--lambda-order", "12", "--a-order", "16"):
+        "0e2b706f07fc74ffe1a7ef9a60c4a47ff7ba319172f91c5dc85403f673fc4b38",
 }
 
 

@@ -31,7 +31,7 @@ from sheffer import (
 )
 from sheffer.multivar import BivarOperator
 from sheffer.sequences import build_M, sequence_via_egf
-from sheffer.series import _kcompose, _kinverse, _kmul, _krecip
+from sheffer.series import _iconv, _kcompose, _kinverse, _kmul, _kpack, _krecip, _kunpack, _kwidth
 
 _ZERO = F(0)
 
@@ -280,6 +280,54 @@ def test_kmul_matches_fraction_loop(a, b, n):
     assert out == ref_kmul(a, b, n)
     assert len(out) == n + 1
     assert all(type(c) is F for c in out)
+
+
+# signed entries of every bit length up to 700; rows empty, all zero or
+# generic, up to 30 entries
+signed_entries = st.integers(0, 700).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+signed_rows = st.one_of(
+    st.lists(signed_entries, max_size=30),
+    st.integers(0, 30).map(lambda length: [0] * length),
+)
+
+
+def _packed_sum(products, count):
+    """Slots 0..count-1 of the summed Kronecker products, at the derived width."""
+    terms = sum(min(len(a), len(b)) for a, b in products)
+    width = _kwidth([a for a, _ in products], [b for _, b in products], terms)
+    total = sum(_kpack(a, width) * _kpack(b, width) for a, b in products)
+    return _kunpack(total, width, count), width
+
+
+def _iconv_sum(products, count):
+    return [sum(column) for column in zip(*(_iconv(a, b, count - 1) for a, b in products))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(signed_rows, signed_rows), min_size=1, max_size=13),
+       st.integers(0, 64))
+@example([([], [])], 0)
+@example([([], [5, -3])], 4)
+@example([([0, 0, 0], [-1])], 3)
+# the top slot is +-1 over an opposite sign, so the packed value is below
+# B^t in magnitude and the top slot must still be read
+@example([([1, -1], [1])], 2)
+@example([([-1, 1], [1]), ([0], [5])], 4)
+def test_summed_kronecker_products_match_summed_iconv(products, count):
+    got, _ = _packed_sum(products, count)
+    assert got == _iconv_sum(products, count)
+
+
+@pytest.mark.parametrize("alpha, beta, width", [(297, 298, 75), (298, 298, 76)])
+def test_kronecker_slots_hold_the_largest_magnitude_the_width_admits(alpha, beta, width):
+    # coefficient 7 sums all T = 16 entry products at full magnitude, so its
+    # bit length is alpha + beta + 4. At 297 + 298 that is 8 * 75 - 1, the
+    # top of a 75-byte slot; at 298 + 298 the sign bit needs a 76th byte.
+    products = [([2**alpha - 1] * 8, [-(2**beta - 1)] * 8)] * 2
+    got, derived = _packed_sum(products, 15)
+    assert derived == width
+    assert got == _iconv_sum(products, 15)
+    assert (-got[7]).bit_length() == alpha + beta + 4
 
 
 @settings(max_examples=150, deadline=None)

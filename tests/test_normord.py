@@ -574,6 +574,148 @@ def test_normal_order_lhs_multiplies_weyl_elements_only_in_build_M(lam_order, mo
     assert counts == {"build_M": 1, "weyl_mul": 1}
 
 
+# -- the packed row kernels against the loops they replaced ----------------------
+
+
+def ref_dict_normal_order_lhs(pair, lam_order, a_order):
+    """The right product by M on a dict of X^i D^j numerators, one term at a time."""
+    normord._check_orders(pair, lam_order, a_order)
+    depth = lam_order + a_order
+    m_op = build_M(pair, depth - 1) if lam_order else WeylElement.zero()
+    m_num, m_den = series._common_denominator(list(m_op.terms.values()))
+    k_part, d_part = [], []  # (t, numerator) of X*D^t and of D^t, t ascending
+    for (i, t), c in sorted(zip(m_op.terms, m_num)):
+        (k_part if i else d_part).append((t, c))
+    terms = {}
+
+    def record(power, den, n):
+        den *= factorial(n)
+        for (i, j), c in power.items():
+            if j <= a_order:
+                poly = terms.setdefault((i, j), [F(0)] * (lam_order + 1))
+                poly[n] = F(c, den)
+
+    power, den = {(0, 0): 1}, 1
+    record(power, den, 0)
+    for n in range(1, lam_order + 1):
+        cap = depth - n
+        out = {}
+        for (i, j), e in power.items():
+            for t, c in k_part:
+                d = j + t - 1
+                if d > cap:
+                    break
+                if j:
+                    out[(i, d)] = out.get((i, d), 0) + e * j * c
+                if d < cap:
+                    out[(i + 1, d + 1)] = out.get((i + 1, d + 1), 0) + e * c
+            for t, c in d_part:
+                d = j + t
+                if d > cap:
+                    break
+                out[(i, d)] = out.get((i, d), 0) + e * c
+        power = {key: c for key, c in out.items() if c}
+        den *= m_den
+        g = math.gcd(den, *power.values())
+        if g > 1:
+            power = {key: c // g for key, c in power.items()}
+            den //= g
+        record(power, den, n)
+    return NormallyOrderedSeries(terms, lam_order, a_order)
+
+
+def ref_rows_normal_order_rhs(pair, lam_order, a_order):
+    """The composed-series route with acc * E summed one _iconv row product at a time."""
+    normord._check_orders(pair, lam_order, a_order)
+    width = a_order + 1
+    f_nums, fd = series._common_denominator(pair.f.coeffs[:width])
+    fd_powers, table = [1], [[1] + [0] * a_order]
+    for _ in range(a_order):
+        fd_powers.append(fd_powers[-1] * fd)
+        table.append(series._iconv(table[-1], f_nums, a_order))
+    columns = [[power[q] for power in table[: q + 1]] for q in range(width)]
+
+    e_rows, e_den = normord._shift_at_fa(pair_finv(pair), columns, fd_powers, lam_order)
+    e_rows[0] = [0] * width
+    e_rows, e_den = normord._reduced(e_rows, e_den)
+    q_rows, q_den = normord._shift_at_fa(pair_prefactor(pair), columns, fd_powers, lam_order)
+    g_nums, gd = series._common_denominator(pair.g.coeffs[:width])
+    acc, den = normord._reduced(
+        [series._iconv(g_nums, row, a_order) for row in q_rows], gd * q_den
+    )
+
+    terms = {}
+    for i in range(lam_order + 1):
+        if i:
+            out = [[0] * width for _ in range(lam_order + 1)]
+            for p1 in range(i - 1, lam_order):
+                for p2 in range(1, lam_order + 1 - p1):
+                    product = series._iconv(acc[p1], e_rows[p2], a_order)
+                    out[p1 + p2] = [x + y for x, y in zip(out[p1 + p2], product)]
+            acc, den = normord._reduced(out, den * e_den)
+        scale = den * factorial(i)
+        for p, row in enumerate(acc):
+            for q, c in enumerate(row):
+                if c:
+                    poly = terms.setdefault((i, q), [F(0)] * (lam_order + 1))
+                    poly[p] = F(c, scale)
+    return NormallyOrderedSeries(terms, lam_order, a_order)
+
+
+def ref_verify_normal_order(lhs, rhs):
+    """The Fraction comparison of two normally ordered series, cell by cell."""
+    rows = []
+    for key in sorted(set(lhs.terms) | set(rhs.terms)):
+        left, right = lhs.coefficient(*key), rhs.coefficient(*key)
+        for k in range(lhs.lam_order + 1):
+            if left[k] or right[k]:
+                rows.append(
+                    {"adag": key[0], "a": key[1], "lambda_power": k, "pass": left[k] == right[k]}
+                )
+    return rows
+
+
+ROW_KERNEL_ORDERS = [(0, 0), (1, 0), (0, 4), (6, 8), (12, 16)]
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+@pytest.mark.parametrize("orders", ROW_KERNEL_ORDERS, ids=str)
+def test_row_kernels_match_the_loops_they_replaced(label, orders):
+    lam_order, a_order = orders
+    for order in _pair_orders(lam_order, a_order):
+        pair = family(label, order).pair
+        lhs = normal_order_lhs(pair, lam_order, a_order)
+        rhs = normal_order_rhs(pair, lam_order, a_order)
+        assert lhs == ref_dict_normal_order_lhs(pair, lam_order, a_order), order
+        assert rhs == ref_rows_normal_order_rhs(pair, lam_order, a_order), order
+        detail = verify_normal_order(pair, lam_order, a_order)
+        assert detail == ref_verify_normal_order(lhs, rhs), order
+
+
+@settings(max_examples=25, deadline=None)
+@given(strat.sheffer_pairs(), st.integers(0, 4), st.integers(0, 6))
+def test_row_kernels_match_the_loops_they_replaced_on_random_pairs(pair, lam_order, a_order):
+    lhs = normal_order_lhs(pair, lam_order, a_order)
+    rhs = normal_order_rhs(pair, lam_order, a_order)
+    assert lhs == ref_dict_normal_order_lhs(pair, lam_order, a_order)
+    assert rhs == ref_rows_normal_order_rhs(pair, lam_order, a_order)
+    assert verify_normal_order(pair, lam_order, a_order) == ref_verify_normal_order(lhs, rhs)
+
+
+def test_verify_normal_order_reports_the_mismatches_the_fraction_comparison_finds(monkeypatch):
+    # the rhs kernel reads a pair with the wrong g, so cells from lambda^1 on fail
+    true_pair = family("bell", 16).pair
+    bad_pair = ShefferPair(true_pair.f, TruncatedSeries.one(16) + TruncatedSeries.x(16))
+    rhs_rows = normord._rhs_rows
+    monkeypatch.setattr(normord, "_rhs_rows", lambda pair, *orders: rhs_rows(bad_pair, *orders))
+    got = verify_normal_order(true_pair, 3, 4)
+    expected = ref_verify_normal_order(
+        normal_order_lhs(true_pair, 3, 4), normal_order_rhs(bad_pair, 3, 4)
+    )
+    assert got == expected
+    assert not all(row["pass"] for row in got)
+
+
 # -- consistency chain: operator powers against the generating series -----------
 
 
