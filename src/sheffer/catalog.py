@@ -303,7 +303,7 @@ def oracle_polys(label: str, n_max: int) -> list:
 def egf_eval(label: str, lam: complex, x: complex) -> complex:
     """Closed-form generating-function value, guarded at the trust radius."""
     record = _record(label)
-    if abs(lam) > record.guard_radius:
+    if not abs(lam) <= record.guard_radius:  # NaN fails too
         raise GuardExceeded(
             f"|lambda| = {abs(lam):.6g} exceeds {label} guard {record.guard_radius:.6g}"
         )

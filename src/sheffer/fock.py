@@ -19,9 +19,9 @@ rounded to complex: finv and 1/g(finv), the sequence s_n, the chains
 M^k x^l from one raising operator at the top usable degree, the exact
 k = 1/f' and h*k with binomial-weighted matrices for their Taylor shift,
 the truncated f, f' and g of the coherent series route, and the image of
-M for each Fock cutoff. The exact series among these
-(finv, 1/g(finv), k and h*k) are the pair's core from ``sequences``;
-``sheffer.normord`` reads them too. A verifier draw
+M for each Fock cutoff. The exact series among these are read from the
+pair's own cached properties (``ShefferPair.finv``, ``.prefactor`` and
+``.ladder``), which ``sheffer.normord`` reads too. A verifier draw
 then runs on floating point alone: Horner sums, numpy products, and the
 recentred image of M as one matrix-vector product with the powers of z'.
 ``FockSpace`` builds the images of a-series and exp(t*adag) entrywise from
@@ -63,14 +63,7 @@ import numpy as np
 
 from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded
 from .series import Polynomial, SeriesValue
-from .sequences import (
-    ShefferPair,
-    build_M,
-    pair_finv,
-    pair_ladder,
-    pair_prefactor,
-    sequence_via_egf,
-)
+from .sequences import ShefferPair, build_M, sequence_via_egf
 from .weyl import WeylElement
 
 
@@ -123,7 +116,7 @@ def _shift_weights(coeffs) -> np.ndarray:
 
 
 def _check_guard(name: str, value: complex, guard: float):
-    if abs(value) > guard:
+    if not abs(value) <= guard:  # NaN fails too
         raise GuardExceeded(f"|{name}| = {abs(value):.6g} exceeds guard {guard:.6g}")
 
 
@@ -160,9 +153,11 @@ class CompiledPair:
 
     None of it depends on the coherent-state parameters. Each part is built
     on first use, in exact arithmetic, and kept rounded to complex, so a
-    call does only floating-point Horner sums and numpy products. A Horner
-    sum over the rounded coefficients gives the same bits as Horner
-    evaluation of the exact polynomial at a complex point.
+    call does only floating-point Horner sums and numpy products. The exact
+    series come from the pair's cached ``finv``, ``prefactor`` and
+    ``ladder``, so they are built once per pair object. A Horner sum over
+    the rounded coefficients gives the same bits as Horner evaluation of
+    the exact polynomial at a complex point.
     """
 
     def __init__(self, pair: ShefferPair):
@@ -174,8 +169,7 @@ class CompiledPair:
     @cached_property
     def _vacuum(self):
         # finv and 1/g(finv): <z|exp(lam*M)|0>/<z|0> = exp(z* finv(lam)) / g(finv(lam))
-        finv, prefactor = pair_finv(self.pair), pair_prefactor(self.pair)
-        return _rounded(finv.coeffs), _rounded(prefactor.coeffs)
+        return _rounded(self.pair.finv.coeffs), _rounded(self.pair.prefactor.coeffs)
 
     @cached_property
     def _sequence(self) -> list:
@@ -215,7 +209,7 @@ class CompiledPair:
     @cached_property
     def _ladder_shift_weights(self):
         # M = adag*k(a) - (h*k)(a) with k = 1/f' and h = g'/g
-        return tuple(_shift_weights(ser.coeffs) for ser in pair_ladder(self.pair))
+        return tuple(_shift_weights(ser.coeffs) for ser in self.pair.ladder)
 
     # -- closed forms (the public functions below delegate here) --------------
 
@@ -297,7 +291,7 @@ class CompiledPair:
         """Cutoff-dim image of M, built once per cutoff; read-only."""
         image = self._images.get(space.dim)
         if image is None:
-            k_ser, hk_ser = pair_ladder(self.pair)
+            k_ser, hk_ser = self.pair.ladder
             image = space._ladder_image(k_ser.coeffs, hk_ser.coeffs)
             image.setflags(write=False)
             self._images[space.dim] = image
@@ -310,7 +304,8 @@ class CompiledPair:
         return space._ladder_image(k_weights @ powers, hk_weights @ powers)
 
 
-# pairs are immutable values, so memoizing on them is safe
+# pairs are immutable values, so memoizing on them is safe; an LRU here, not
+# a property of the pair, because the exact layer does not import this module
 @lru_cache(maxsize=256)
 def compile_pair(pair: ShefferPair) -> CompiledPair:
     """The pair's compiled data; one object per distinct pair."""
@@ -660,7 +655,7 @@ def fock_verify(
     if cutoff < MIN_CUTOFF:
         raise CutoffTooSmall(f"Fock cutoff must be >= {MIN_CUTOFF}")
     z, zp, lam = params.z, params.zp, params.lam
-    if abs(z) > 1 or abs(zp) > 1:
+    if not (abs(z) <= 1 and abs(zp) <= 1):  # NaN fails too
         raise GuardExceeded("|z| and |z'| must be <= 1")
     check_coherent_guards(zp, lam, z_guard, lam_guard)
 

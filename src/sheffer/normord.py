@@ -25,7 +25,7 @@ from operator import mul
 
 from .errors import OrderExceeded
 from .series import TruncatedSeries, _common_denominator, _iconv, _kpack, _kunpack, _kwidth
-from .sequences import ShefferPair, _check_degree, build_M, pair_finv, pair_prefactor
+from .sequences import ShefferPair, _check_degree, build_M
 from .weyl import WeylElement
 
 _ZERO = Fraction(0)
@@ -153,10 +153,10 @@ def _rhs_rows(pair: ShefferPair, lam_order: int, a_order: int) -> list:
         table.append(_iconv(table[-1], f_nums, a_order))
     columns = [[power[q] for power in table[: q + 1]] for q in range(width)]
 
-    e_rows, e_den = _shift_at_fa(pair_finv(pair), columns, fd_powers, lam_order)
+    e_rows, e_den = _shift_at_fa(pair.finv, columns, fd_powers, lam_order)
     e_rows[0] = [0] * width
     e_rows, e_den = _reduced(e_rows, e_den)
-    q_rows, q_den = _shift_at_fa(pair_prefactor(pair), columns, fd_powers, lam_order)
+    q_rows, q_den = _shift_at_fa(pair.prefactor, columns, fd_powers, lam_order)
     g_nums, gd = _common_denominator(pair.g.coeffs[:width])
     acc, den = _reduced([_iconv(g_nums, row, a_order) for row in q_rows], gd * q_den)
 

@@ -13,21 +13,22 @@ routes) and the operators, and checks the ladder identities exactly.
 g is stored rescaled to g(0) = 1: the generating function at t = 0 forces
 s_0 = 1/g(0), and s_0 = 1 is the normalization used everywhere here.
 
-Everything else follows from a few exact series of the pair, so each is
-built once per process and memoized on the (immutable) pair: finv, the
-prefactor 1/g(finv), and the ladder series k = 1/f' and h*k with
-h = g'/g. The generating-function sequence, the raising operator, the
-composed-series normal ordering and the compiled coherent-state data all
-read them from here; finv has a cache of its own, so a caller that needs
-only finv never builds the prefactor. Negative degrees raise
-``IndexOutOfRange`` before any of it is built.
+Everything else follows from a few exact series of the pair, and the pair
+carries them as cached properties, each built on first read and kept on
+that object: ``finv``, the ``prefactor`` 1/g(finv), and the ``ladder``
+series k = 1/f' and h*k with h = g'/g. The generating-function sequence,
+the raising operator, the composed-series normal ordering and the compiled
+coherent-state data all read them there; a caller that needs only finv
+never builds the prefactor. An equal pair built anew builds its core anew,
+so build a pair once and reuse it, as ``catalog.family`` does. Negative
+degrees raise ``IndexOutOfRange`` before any of it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import comb, gcd, perm
 
 from .errors import IndexOutOfRange, NotInvertible, OrderExceeded, ZeroConstantTerm
@@ -69,6 +70,25 @@ class ShefferPair:
     def order(self) -> int:
         return min(self.f.order, self.g.order)
 
+    # the core: kept in the instance __dict__, outside the compared fields
+    @cached_property
+    def finv(self) -> TruncatedSeries:
+        """finv = f^(-1), the compositional inverse of f, at the pair's f order."""
+        return self.f.comp_inverse()
+
+    @cached_property
+    def prefactor(self) -> TruncatedSeries:
+        """The generating-function prefactor 1/g(finv)."""
+        return self.g.compose(self.finv).reciprocal()
+
+    @cached_property
+    def ladder(self) -> tuple:
+        """(k, h*k) with k = 1/f' and h = g'/g, both at order self.order - 1."""
+        top = self.order - 1
+        k_ser = self.f.derivative().reciprocal().truncate(top)
+        h_ser = self.g.derivative() * self.g.reciprocal()
+        return k_ser, (h_ser * k_ser).truncate(top)
+
 
 @dataclass(frozen=True)
 class ShefferSequence:
@@ -91,29 +111,6 @@ def _check_degree(n: int, what: str) -> None:
         raise IndexOutOfRange(f"{what} {n} is negative")
 
 
-# pairs are immutable values, so memoizing on them is safe; the bound keeps
-# a long run over many custom pairs from growing without limit
-@lru_cache(maxsize=256)
-def pair_finv(pair: ShefferPair) -> TruncatedSeries:
-    """finv = f^(-1), the compositional inverse of f, at the pair's f order."""
-    return pair.f.comp_inverse()
-
-
-@lru_cache(maxsize=256)
-def pair_prefactor(pair: ShefferPair) -> TruncatedSeries:
-    """The generating-function prefactor 1/g(finv)."""
-    return pair.g.compose(pair_finv(pair)).reciprocal()
-
-
-@lru_cache(maxsize=256)
-def pair_ladder(pair: ShefferPair) -> tuple:
-    """(k, h*k) with k = 1/f' and h = g'/g, both at order pair.order - 1."""
-    top = pair.order - 1
-    k_ser = pair.f.derivative().reciprocal().truncate(top)
-    h_ser = pair.g.derivative() * pair.g.reciprocal()
-    return k_ser, (h_ser * k_ser).truncate(top)
-
-
 def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
     """Extract s_0..s_{n_max} from the generating function.
 
@@ -129,8 +126,8 @@ def sequence_via_egf(pair: ShefferPair, n_max: int) -> ShefferSequence:
     if n_max > pair.order:
         raise OrderExceeded(f"n_max {n_max} exceeds series order {pair.order}")
     # finv(t) = t * F(t), so column j = t^j * C_j with C_j = C_{j-1} * F
-    shift, shift_den = _common_denominator(pair_finv(pair).coeffs[1 : n_max + 1])
-    col, den = _common_denominator(pair_prefactor(pair).coeffs[: n_max + 1])
+    shift, shift_den = _common_denominator(pair.finv.coeffs[1 : n_max + 1])
+    col, den = _common_denominator(pair.prefactor.coeffs[: n_max + 1])
     rows = [[] for _ in range(n_max + 1)]
     for j in range(n_max + 1):
         if j:
@@ -167,7 +164,7 @@ def build_M(pair: ShefferPair, k_order: int) -> WeylElement:
         raise OrderExceeded(
             f"K {k_order} needs series order >= {k_order + 1}, have {pair.order}"
         )
-    k_ser, hk_ser = (ser.truncate(k_order) for ser in pair_ladder(pair))
+    k_ser, hk_ser = (ser.truncate(k_order) for ser in pair.ladder)
     x_part = weyl_mul(WeylElement.x(), WeylElement.from_series(k_ser))
     d_part = WeylElement.from_series(hk_ser)
     return x_part - d_part
@@ -178,7 +175,7 @@ def sequence_via_raising(pair: ShefferPair, n_max: int) -> ShefferSequence:
     _check_degree(n_max, "n_max")
     if n_max > pair.order - 1:
         raise OrderExceeded(f"n_max {n_max} needs series order >= {n_max + 1}")
-    m_op = build_M(pair, max(n_max, 1))
+    m_op = build_M(pair, n_max)
     polys = [Polynomial.one()]
     for _ in range(n_max):
         polys.append(m_op.apply(polys[-1]))

@@ -434,7 +434,7 @@ class TruncatedSeries:
 
         Returns the value together with a crude tail estimate |a_N z^N|.
         """
-        if abs(z) > guard:
+        if not abs(z) <= guard:  # NaN fails too
             raise GuardExceeded(f"|z| = {abs(z):.6g} exceeds guard {guard:.6g}")
         acc = 0j
         for c in reversed(self.coeffs):

@@ -14,7 +14,6 @@ from operator import add
 
 from sheffer.errors import OrderExceeded
 from sheffer.normord import NormallyOrderedSeries
-from sheffer.sequences import pair_finv
 from sheffer.series import _common_denominator, _iconv, _kmul, _krecip
 
 _ZERO = Fraction(0)
@@ -112,7 +111,7 @@ def ref_normal_order_rhs(pair, lam_order, a_order):
     need = lam_order + a_order
     if pair.order < need:
         raise OrderExceeded(f"series order {pair.order} < lam_order + a_order = {need}")
-    finv = pair_finv(pair)
+    finv = pair.finv
     fa = _Bivar.from_a_series(list(pair.f.coeffs), lam_order, a_order)
     t = fa.add_scalar(_ONE, row=1, col=0)  # lambda + f(a)
     composed = _bivar_compose(list(finv.coeffs[: need + 1]), t)

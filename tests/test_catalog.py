@@ -1,4 +1,5 @@
 import cmath
+import math
 import os
 import subprocess
 import sys
@@ -134,6 +135,8 @@ def test_egf_eval_bell_closed_form():
 def test_egf_eval_guards_branch_points():
     with pytest.raises(GuardExceeded):
         egf_eval("bessel", 0.6, 1.0)
+    with pytest.raises(GuardExceeded, match="lambda"):
+        egf_eval("hermite", math.nan, 0.1)
 
 
 @pytest.mark.parametrize("label", FAMILY_LABELS)

@@ -49,7 +49,7 @@ from sheffer import (
 from sheffer import fock, normord, sequences, series, weyl
 from sheffer.catalog import FAMILY_LABELS
 from sheffer.fock import compile_pair
-from sheffer.sequences import build_M, pair_finv, pair_ladder, pair_prefactor
+from sheffer.sequences import build_M
 from sheffer.suites import _disk_draw, coherent_rows, rows_pass
 
 
@@ -134,6 +134,8 @@ def test_exp_element_guards():
         exp_element_vac(pair, 0.9, 0.0, guard=0.5)
     with pytest.raises(GuardExceeded):
         exp_element_state(pair, 0.9, 0.0, 1, guard=0.5)
+    with pytest.raises(GuardExceeded, match="lambda"):  # not as an overflow
+        exp_element_vac(pair, math.nan, 0.0, guard=0.5)
 
 
 def test_exp_element_vac_refuses_overflow_inside_its_guard():
@@ -202,6 +204,8 @@ def test_exp_element_coherent_guards():
         exp_element_coherent(pair, 0.1, 0.9, 0.05, z_guard=0.3)
     with pytest.raises(GuardExceeded):
         exp_element_coherent(pair, 0.1, 0.1, 0.4, lam_guard=0.12)
+    with pytest.raises(GuardExceeded, match="z'"):
+        exp_element_coherent(pair, 0.1, complex(0.1, math.nan), 0.05, z_guard=0.3)
 
 
 def test_exp_element_coherent_refuses_overflow_inside_the_bell_guards():
@@ -301,6 +305,7 @@ def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
         return wrapper
 
     entry = family("hahn", 16)
+    pair = ShefferPair(entry.pair.f, entry.pair.g, entry.pair.label)  # no core built yet
     params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
     guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     names = [name for name in vars(series) if name.startswith("_k")] + ["taylor_shift"]
@@ -308,16 +313,15 @@ def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    for cache in (compile_pair, pair_finv, pair_prefactor, pair_ladder):
-        cache.cache_clear()
-    _, estimate = exp_element_coherent(entry.pair, params.z, params.zp, params.lam, **guards)
+    compile_pair.cache_clear()
+    _, estimate = exp_element_coherent(pair, params.z, params.zp, params.lam, **guards)
     assert estimate <= 1e-8
     assert not counts
     # a cold fock_verify builds the pair's exact core; a warm one adds nothing
-    fock_verify(entry.pair, params, **guards)
+    fock_verify(pair, params, **guards)
     assert counts
     counts.clear()
-    assert rows_pass(fock_verify(entry.pair, params, **guards))
+    assert rows_pass(fock_verify(pair, params, **guards))
     assert not counts
 
 
@@ -635,10 +639,10 @@ def ref_rows_normal_order_rhs(pair, lam_order, a_order):
         table.append(series._iconv(table[-1], f_nums, a_order))
     columns = [[power[q] for power in table[: q + 1]] for q in range(width)]
 
-    e_rows, e_den = normord._shift_at_fa(pair_finv(pair), columns, fd_powers, lam_order)
+    e_rows, e_den = normord._shift_at_fa(pair.finv, columns, fd_powers, lam_order)
     e_rows[0] = [0] * width
     e_rows, e_den = normord._reduced(e_rows, e_den)
-    q_rows, q_den = normord._shift_at_fa(pair_prefactor(pair), columns, fd_powers, lam_order)
+    q_rows, q_den = normord._shift_at_fa(pair.prefactor, columns, fd_powers, lam_order)
     g_nums, gd = series._common_denominator(pair.g.coeffs[:width])
     acc, den = normord._reduced(
         [series._iconv(g_nums, row, a_order) for row in q_rows], gd * q_den
@@ -821,6 +825,16 @@ def test_fock_verify_guards_and_cutoff():
             z_guard=entry.z_guard,
             lam_guard=entry.lam_guard,
         )
+    # NaN is refused by the guard that names it, not later as an overflow
+    # or a Taylor sum that did not converge
+    guards = dict(maps=entry.maps, z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    for params, named in (
+        (CoherentParams(math.nan, 0.1, 0.05), r"\|z\| and \|z'\|"),
+        (CoherentParams(0.3, complex(math.nan), 0.05), r"\|z\| and \|z'\|"),
+        (CoherentParams(0.3, 0.1, math.nan), r"\|lambda\| = nan"),
+    ):
+        with pytest.raises(GuardExceeded, match=named):
+            fock_verify(entry.pair, params, **guards)
 
 
 # -- the one-thread BLAS scope of the Fock layer --------------------------------
@@ -1085,8 +1099,9 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
     family(label, 16)
     seen = []
     for draws in (1, 10):
-        for cache in (compile_pair, pair_finv, pair_prefactor, pair_ladder):
-            cache.cache_clear()
+        # a new catalog pair, so each round builds the pair's core and compiled data
+        family.cache_clear()
+        compile_pair.cache_clear()
         counts.clear()
         rows = coherent_rows(label, draws=draws)
         assert rows_pass(rows)

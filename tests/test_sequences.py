@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +10,7 @@ from sheffer import (
     FAMILY_LABELS,
     IndexOutOfRange,
     NotInvertible,
+    OrderExceeded,
     Polynomial,
     ShefferPair,
     TruncatedSeries,
@@ -29,7 +32,6 @@ from sheffer import (
     verify_monomiality,
     verify_normal_order,
 )
-from sheffer import sequences
 from sheffer.fock import FockSpace, compile_pair
 from sheffer.suites import heat_rows, rows_pass, theta_pi_rows
 
@@ -122,6 +124,14 @@ def test_raising_route_matches_known_values():
     assert sequence_via_raising(laguerre, 2).poly(2) == P([2, -4, 1])
 
 
+def test_raising_route_at_degree_zero_needs_no_m():
+    # s_0 = 1 takes no raising step, so an order-1 pair suffices
+    pair = ShefferPair(TruncatedSeries.from_coeffs([0, 2], 1), TruncatedSeries.one(1))
+    assert sequence_via_raising(pair, 0).polys == (Polynomial.one(),)
+    with pytest.raises(OrderExceeded):
+        sequence_via_raising(pair, 1)
+
+
 def test_verify_monomiality_all_green_for_trivial_pair():
     assert rows_pass(verify_monomiality(trivial_pair(), 6))
 
@@ -193,7 +203,7 @@ def test_shift_pair_rejects_g_zero():
 
 # -- the per-pair core: finv, 1/g(finv), k = 1/f' and h*k, built once per pair ----
 
-CORE_CACHES = (sequences.pair_finv, sequences.pair_prefactor, sequences.pair_ladder)
+CORE = {"finv", "prefactor", "ladder"}
 
 
 def custom_pairs(order):
@@ -202,6 +212,11 @@ def custom_pairs(order):
         ShefferPair(x - x * x.scale(F(1, 3)), (TruncatedSeries.one(order) + x).reciprocal()),
         ShefferPair(exp_series(x.scale(2)) - 1, exp_series(x * x.scale(F(-1, 5)))),
     )
+
+
+def fresh(pair):
+    # an equal pair object whose core has not been built
+    return ShefferPair(pair.f, pair.g, pair.label)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -220,18 +235,14 @@ def test_cached_sequence_equals_the_uncached_build(monkeypatch):
     order = 12
     pairs = [family(label, order).pair for label in FAMILY_LABELS] + list(custom_pairs(order))
     degrees = (0, 1, order // 2, order)
-    cached = {}
-    for pair in pairs:
-        for n in degrees:
-            sequence_via_egf(pair, n)  # the second call below reads the filled cache
-            cached[pair, n] = sequence_via_egf(pair, n)
-    assert all(cache.cache_info().hits for cache in CORE_CACHES[:2])
-    monkeypatch.setattr(sequences, "pair_finv", sequences.pair_finv.__wrapped__)
-    monkeypatch.setattr(sequences, "pair_prefactor", sequences.pair_prefactor.__wrapped__)
-    monkeypatch.setattr(sequences, "pair_ladder", sequences.pair_ladder.__wrapped__)
-    for pair in pairs:
-        for n in degrees:
-            assert sequence_via_egf(pair, n) == cached[pair, n]
+    inverted = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
+    for pair in map(fresh, pairs):
+        inverted.clear()
+        cached = [sequence_via_egf(pair, n) for n in degrees]
+        assert len(inverted) == 1  # the first call built the core, the others read it
+        # each uncached build runs on a new equal pair, so it inverts f again
+        assert cached == [sequence_via_egf(fresh(pair), n) for n in degrees]
+        assert len(inverted) == 1 + len(degrees)
         assert build_M(pair, order - 1) == _uncached_build_m(pair, order - 1)
 
 
@@ -245,9 +256,8 @@ def _uncached_build_m(pair, k_order):
 
 @pytest.mark.parametrize("label", ("laguerre", "hahn", "idempotent"))
 def test_heat_and_theta_pi_invert_each_pair_once(label, monkeypatch):
+    family.cache_clear()  # the suites below then read a new pair, with no core yet
     pair = family(label, 16).pair
-    for cache in CORE_CACHES:
-        cache.cache_clear()
     calls = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
     assert rows_pass(heat_rows(label))
     assert rows_pass(theta_pi_rows(label))
@@ -256,14 +266,12 @@ def test_heat_and_theta_pi_invert_each_pair_once(label, monkeypatch):
 
 def test_normal_order_rhs_core_work(monkeypatch):
     # the rhs evaluates finv and the prefactor 1/g(finv) at lambda + f(a):
-    # one inversion and one composition on cold caches, none once cached
-    pair = family("hahn", 16).pair
-    for cache in CORE_CACHES:
-        cache.cache_clear()
+    # one inversion and one composition on a new pair, none once built
+    pair = fresh(family("hahn", 16).pair)
     composed = _count_calls(monkeypatch, TruncatedSeries, "compose")
     inverted = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
     normal_order_rhs(pair, 4, 6)
-    assert composed == [(pair.g, sequences.pair_finv(pair))]
+    assert composed == [(pair.g, pair.finv)]
     assert inverted == [(pair.f,)]
     normal_order_rhs(pair, 4, 6)
     assert len(composed) == 1 and len(inverted) == 1
@@ -274,22 +282,34 @@ def test_ladder_series_when_f_has_the_higher_order():
     # series stop at pair.order - 1, so the Fock image of M can be built
     f = TruncatedSeries.from_coeffs([0, 1, 1], 12)
     pair = ShefferPair(f, TruncatedSeries.from_coeffs([1, 1], 10))
-    k_ser, hk_ser = sequences.pair_ladder(pair)
+    k_ser, hk_ser = pair.ladder
     assert k_ser.order == hk_ser.order == pair.order - 1
     assert build_M(pair, 9) == _uncached_build_m(pair, 9)
     assert compile_pair(pair).m_image(FockSpace(8)).shape == (8, 8)
 
 
-def test_core_caches_are_bounded():
-    for cache in CORE_CACHES:
-        assert cache.cache_info().maxsize == 256
-    # more distinct pairs than the bound: the cache keeps at most maxsize
-    for shift in range(300):
-        pair = ShefferPair(
-            TruncatedSeries.from_coeffs([0, 1, F(shift, 7)], 2), TruncatedSeries.one(2)
-        )
-        sequence_via_egf(pair, 2)
-    assert sequences.pair_finv.cache_info().currsize == 256
+def test_built_core_leaves_equality_and_hash_alone():
+    # compile_pair memoizes on equality and hash, so the core must not enter them
+    pair = custom_pairs(9)[0]
+    before = hash(pair)
+    sequence_via_egf(pair, 9)
+    build_M(pair, 8)
+    assert CORE <= set(vars(pair))
+    twin = fresh(pair)
+    assert CORE.isdisjoint(vars(twin))
+    assert pair == twin and hash(pair) == hash(twin) == before
+    assert compile_pair(twin) is compile_pair(pair)
+
+
+def test_a_dropped_pair_frees_its_core():
+    pair = custom_pairs(9)[1]
+    sequence_via_egf(pair, 9)
+    build_M(pair, 8)
+    assert CORE <= set(vars(pair))
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
 
 
 NEGATIVE_DEGREE_CALLS = {
@@ -312,8 +332,6 @@ NEGATIVE_DEGREE_CALLS = {
 @pytest.mark.parametrize("name", sorted(NEGATIVE_DEGREE_CALLS))
 def test_negative_degrees_raise_before_the_core_is_built(name):
     pair = custom_pairs(9)[0]
-    for cache in CORE_CACHES:
-        cache.cache_clear()
     with pytest.raises(IndexOutOfRange):
         NEGATIVE_DEGREE_CALLS[name](pair)
-    assert all(cache.cache_info().currsize == 0 for cache in CORE_CACHES)
+    assert CORE.isdisjoint(vars(pair))

@@ -1,4 +1,5 @@
 import cmath
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -164,6 +165,8 @@ def test_eval_complex():
     assert tail < 1e-12
     with pytest.raises(GuardExceeded):
         e.eval_complex(2.0, 1.0)
+    with pytest.raises(GuardExceeded):
+        e.eval_complex(complex(math.nan, 0.1), 1.0)
 
 
 def test_series_json_round_trip():
