@@ -2,9 +2,11 @@
 
 Each family is declared once, as one record in ``_FAMILIES``: a builder of
 the defining pair (f, g) as exact series from x and 1 at the requested
-order, a closed-form generating-function evaluator, closed-form complex
-maps for f, its compositional inverse and g (used by the Fock verifier at
-arguments beyond the series trust radius), documented numeric guards, an
+order, a builder of its generating function's exact series finv and
+1/g(finv) at that order, a closed-form generating-function evaluator,
+closed-form complex maps for f, its compositional inverse and g (used by
+the Fock verifier at arguments beyond the series trust radius), documented
+numeric guards, an
 independent polynomial oracle where a classical one exists (else None) and
 notes. ``FAMILY_LABELS`` is the table's order. ``family``, ``oracle_polys``
 and ``egf_eval`` find a label through one lookup, which raises
@@ -16,8 +18,14 @@ suite (``suites._adjudication_rows``).
 
 Only f is printed in the usual operator tables; every g here is derived
 from the generating function's prefactor (prefactor = 1/g(finv(t)), so
-g(t) = 1/prefactor(f(t))) and confirmed against it symbolically by the
-test suite before being trusted.
+g(t) = 1/prefactor(f(t))). The generating function exp(x*finv(t))/g(finv(t))
+is the classical closed form (Roman, The Umbral Calculus, 1984), so a
+catalog pair arrives with ``finv`` and ``prefactor`` read off the record's
+coefficient formulas instead of solved for by Newton inversion and
+composition; a pair built anew from (f, g) still solves for them. The test
+suite checks each record against that solve, and the monomiality suite's
+``route_equivalence`` rows check the generating-function route, which reads
+the record, against the raising route, which reads only f and g.
 
 The three guards, fields of each record that ``family`` copies onto its entry:
 
@@ -35,7 +43,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -45,6 +52,7 @@ from .errors import GuardExceeded, UnknownFamily
 from .sequences import ShefferPair, _check_degree, sequence_via_egf
 from .series import (
     Polynomial,
+    RationalLike,
     TruncatedSeries,
     cos_series,
     exp_series,
@@ -53,8 +61,9 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class ClosedMaps:
+# The record types here are NamedTuples, not frozen dataclasses: they are
+# defined at import, where a dataclass costs about 1 ms more
+class ClosedMaps(NamedTuple):
     """Closed-form complex evaluators for f, its inverse, and g (by default 1)."""
 
     f: Callable[[complex], complex]
@@ -62,8 +71,7 @@ class ClosedMaps:
     g: Callable[[complex], complex] = lambda w: 1.0 + 0j
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     label: str
     pair: ShefferPair
     guard_radius: float
@@ -181,12 +189,20 @@ def _idempotent_oracle(n_max: int) -> list:
     return polys
 
 
-# a NamedTuple, not a frozen dataclass: it is built at import, where a dataclass
-# costs about 1 ms more
+def _series(order: int, coeff: Callable[[int], RationalLike]) -> TruncatedSeries:
+    """The series with coefficient coeff(k) at t^k for k = 0..order."""
+    return TruncatedSeries.from_coeffs([coeff(k) for k in range(order + 1)])
+
+
 class _Family(NamedTuple):
-    """Everything the catalog knows about one family; ``fg`` maps (x, 1) to (f, g)."""
+    """Everything the catalog knows about one family.
+
+    ``fg`` maps (x, 1) to (f, g); ``egf`` maps an order to the generating
+    function's exact series (finv, 1/g(finv)) at that order.
+    """
 
     fg: Callable[[TruncatedSeries, TruncatedSeries], tuple]
+    egf: Callable[[int], tuple]
     closed_egf: Callable[[complex, complex], complex]
     maps: ClosedMaps
     guard_radius: float
@@ -201,6 +217,11 @@ class _Family(NamedTuple):
 _FAMILIES = {
     "hermite": _Family(
         fg=lambda x, one: (x.scale(Fraction(1, 2)), exp_series((x * x).scale(Fraction(1, 4)))),
+        # finv = 2t, 1/g(finv) = exp(-t^2)
+        egf=lambda n: (
+            TruncatedSeries.from_coeffs([0, 2], n),
+            _series(n, lambda k: 0 if k % 2 else Fraction((-1) ** (k // 2), factorial(k // 2))),
+        ),
         closed_egf=lambda lam, x: cmath.exp(2 * lam * x - lam * lam),
         maps=ClosedMaps(f=lambda w: w / 2, finv=lambda w: 2 * w, g=lambda w: cmath.exp(w * w / 4)),
         guard_radius=2.0, z_guard=1.0, lam_guard=1.0,
@@ -208,6 +229,8 @@ _FAMILIES = {
     ),
     "laguerre": _Family(
         fg=lambda x, one: (x * (x - 1).reciprocal(), (one - x).reciprocal()),
+        # finv = t/(t-1), 1/g(finv) = 1/(1-t)
+        egf=lambda n: (_series(n, lambda k: -1 if k else 0), _series(n, lambda k: 1)),
         closed_egf=lambda lam, x: cmath.exp(x * lam / (lam - 1)) / (1 - lam),
         maps=ClosedMaps(f=lambda w: w / (w - 1), finv=lambda w: w / (w - 1),
                         g=lambda w: 1 / (1 - w)),
@@ -221,12 +244,21 @@ _FAMILIES = {
     ),
     "bessel": _Family(
         fg=lambda x, one: (x - (x * x).scale(Fraction(1, 2)), one),
+        # finv = 1 - sqrt(1-2t), whose t^k coefficient is Catalan(k-1)/2^(k-1)
+        egf=lambda n: (
+            _series(n, lambda k: Fraction(comb(2 * k - 2, k - 1), k << (k - 1)) if k else 0),
+            TruncatedSeries.one(n),
+        ),
         closed_egf=lambda lam, x: cmath.exp(x * (1 - cmath.sqrt(1 - 2 * lam))),
         maps=ClosedMaps(f=lambda w: w - w * w / 2, finv=lambda w: 1 - cmath.sqrt(1 - 2 * w)),
         guard_radius=0.5, z_guard=0.25, lam_guard=0.12,
     ),
     "bell": _Family(
         fg=lambda x, one: (log_series(one + x), one),
+        # finv = exp(t) - 1
+        egf=lambda n: (
+            _series(n, lambda k: Fraction(1, factorial(k)) if k else 0), TruncatedSeries.one(n)
+        ),
         closed_egf=lambda lam, x: cmath.exp(x * (cmath.exp(lam) - 1)),
         maps=ClosedMaps(f=lambda w: cmath.log(1 + w), finv=lambda w: cmath.exp(w) - 1),
         guard_radius=2.0, z_guard=1.0, lam_guard=1.0,
@@ -234,6 +266,10 @@ _FAMILIES = {
     ),
     "lower_factorial": _Family(
         fg=lambda x, one: (exp_series(x) - 1, one),
+        # finv = log(1+t)
+        egf=lambda n: (
+            _series(n, lambda k: Fraction((-1) ** (k + 1), k) if k else 0), TruncatedSeries.one(n)
+        ),
         closed_egf=lambda lam, x: cmath.exp(x * cmath.log(1 + lam)),
         maps=ClosedMaps(f=lambda w: cmath.exp(w) - 1, finv=lambda w: cmath.log(1 + w)),
         guard_radius=1.0, z_guard=1.0, lam_guard=0.2,
@@ -241,6 +277,14 @@ _FAMILIES = {
     ),
     "hahn": _Family(
         fg=lambda x, one: (tan_series(x), cos_series(x).reciprocal()),
+        # finv = atan(t), 1/g(finv) = (1+t^2)^(-1/2), whose t^(2j) coefficient
+        # is (-1)^j C(2j, j)/4^j
+        egf=lambda n: (
+            _series(n, lambda k: Fraction((-1) ** (k // 2), k) if k % 2 else 0),
+            _series(
+                n, lambda k: 0 if k % 2 else Fraction((-1) ** (k // 2) * comb(k, k // 2), 1 << k)
+            ),
+        ),
         closed_egf=lambda lam, x: cmath.exp(x * cmath.atan(lam)) / cmath.sqrt(1 + lam * lam),
         maps=ClosedMaps(f=cmath.tan, finv=cmath.atan, g=lambda w: 1 / cmath.cos(w)),
         guard_radius=1.0, z_guard=0.8, lam_guard=0.15,
@@ -252,7 +296,14 @@ _FAMILIES = {
         ),
     ),
     "idempotent": _Family(
-        fg=lambda x, one: ((x * exp_series(x)).comp_inverse(), one),
+        # f = W(x), the inverse of x*exp(x), with x^k coefficient (-k)^(k-1)/k!
+        fg=lambda x, one: (
+            _series(x.order, lambda k: Fraction((-k) ** (k - 1), factorial(k)) if k else 0), one
+        ),
+        # finv = t*exp(t)
+        egf=lambda n: (
+            _series(n, lambda k: Fraction(1, factorial(k - 1)) if k else 0), TruncatedSeries.one(n)
+        ),
         closed_egf=lambda lam, x: cmath.exp(x * lam * cmath.exp(lam)),
         maps=ClosedMaps(f=_lambertw, finv=lambda w: w * cmath.exp(w)),
         guard_radius=2.0, z_guard=0.12, lam_guard=0.3,
@@ -275,9 +326,14 @@ def family(label: str, order: int = 16) -> FamilyEntry:
     """Construct a catalog entry at the requested truncation order."""
     record = _record(label)
     f, g = record.fg(TruncatedSeries.x(order), TruncatedSeries.one(order))
+    pair = ShefferPair(f, g, label=label)
+    # the record's series fill the slots of the pair's cached properties, so
+    # a catalog pair never solves for them
+    finv, prefactor = record.egf(order)
+    vars(pair).update(finv=finv, prefactor=prefactor)
     return FamilyEntry(
         label=label,
-        pair=ShefferPair(f, g, label=label),
+        pair=pair,
         guard_radius=record.guard_radius,
         z_guard=record.z_guard,
         lam_guard=record.lam_guard,

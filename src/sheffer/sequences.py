@@ -19,8 +19,10 @@ that object: ``finv``, the ``prefactor`` 1/g(finv), and the ``ladder``
 series k = 1/f' and h*k with h = g'/g. The generating-function sequence,
 the raising operator, the composed-series normal ordering and the compiled
 coherent-state data all read them there; a caller that needs only finv
-never builds the prefactor. An equal pair built anew builds its core anew,
-so build a pair once and reuse it, as ``catalog.family`` does. Negative
+never builds the prefactor. ``catalog.family`` fills finv and the prefactor
+from the family's closed generating function; any other pair solves for
+them. An equal pair built anew builds its core anew, so build a pair once
+and reuse it, as ``catalog.family`` does. Negative
 degrees raise ``IndexOutOfRange`` before any of it is built.
 """
 
@@ -73,12 +75,20 @@ class ShefferPair:
     # the core: kept in the instance __dict__, outside the compared fields
     @cached_property
     def finv(self) -> TruncatedSeries:
-        """finv = f^(-1), the compositional inverse of f, at the pair's f order."""
+        """finv = f^(-1), the compositional inverse of f, at the pair's f order.
+
+        A catalog pair arrives with it from its family's record; a pair
+        built anew solves for it by Newton inversion.
+        """
         return self.f.comp_inverse()
 
     @cached_property
     def prefactor(self) -> TruncatedSeries:
-        """The generating-function prefactor 1/g(finv)."""
+        """The generating-function prefactor 1/g(finv).
+
+        A catalog pair arrives with it from its family's record; a pair
+        built anew composes g with finv.
+        """
         return self.g.compose(self.finv).reciprocal()
 
     @cached_property

@@ -13,6 +13,7 @@ from sheffer import (
     GuardExceeded,
     IndexOutOfRange,
     Polynomial,
+    ShefferPair,
     TruncatedSeries,
     UnknownFamily,
     arctan_series,
@@ -82,6 +83,22 @@ def test_inverse_series_match_closed_forms():
     assert finv["lower_factorial"] == log_series(one + t)
     assert finv["hahn"] == arctan_series(t)
     assert finv["idempotent"] == t * exp_series(t)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 7, 16, 29, 48, 64))
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_record_series_equal_the_solved_core(label, order):
+    # an equal pair built anew solves for finv by Newton inversion and for
+    # 1/g(finv) by composition
+    pair = family(label, order).pair
+    twin = ShefferPair(pair.f, pair.g, label)
+    assert (pair.finv, pair.prefactor) == (twin.finv, twin.prefactor)
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 7, 16, 29, 48, 64))
+def test_idempotent_f_is_the_inverse_of_x_exp_x(order):
+    x = TruncatedSeries.x(order)
+    assert family("idempotent", order).pair.f == (x * exp_series(x)).comp_inverse()
 
 
 # -- oracles -------------------------------------------------------------------

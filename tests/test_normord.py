@@ -759,6 +759,18 @@ def test_exp_adag_columns_are_shifted_coherent_amplitudes():
         assert abs(col[m] - t**m / math.sqrt(factorial(m))) < 1e-12
 
 
+def test_norm_is_numpys_bit_for_bit():
+    # apply_exp's norm restates numpy's; a numpy that changes its norm fails here
+    rng = np.random.default_rng(20050429)
+    for length in range(1, 129):
+        parts = rng.standard_normal((2, length))
+        for mags in (10.0 ** rng.uniform(-20, 20), 10.0 ** rng.uniform(-20, 20, length)):
+            v = mags * (parts[0] + 1j * parts[1])
+            assert fock._norm(v) == np.linalg.norm(v)
+    zero = np.zeros(16, dtype=complex)
+    assert fock._norm(zero) == np.linalg.norm(zero) == 0.0
+
+
 def test_apply_exp_matches_scipy_expm():
     import scipy.linalg
 

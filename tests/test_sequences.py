@@ -256,12 +256,28 @@ def _uncached_build_m(pair, k_order):
 
 @pytest.mark.parametrize("label", ("laguerre", "hahn", "idempotent"))
 def test_heat_and_theta_pi_invert_each_pair_once(label, monkeypatch):
-    family.cache_clear()  # the suites below then read a new pair, with no core yet
-    pair = family(label, 16).pair
+    family.cache_clear()  # the suites below then build a new catalog pair
     calls = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
     assert rows_pass(heat_rows(label))
     assert rows_pass(theta_pi_rows(label))
+    assert calls == []  # a catalog pair arrives with finv from its record
+    pair = fresh(family(label, 16).pair)
+    for n in range(9):
+        assert heat_check(pair, n)["pass"]
+    assert rows_pass(theta_pi_check(pair, 6))
     assert calls == [(pair.f,)]
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_catalog_pairs_neither_invert_nor_compose(label, monkeypatch):
+    family.cache_clear()
+    composed = _count_calls(monkeypatch, TruncatedSeries, "compose")
+    inverted = _count_calls(monkeypatch, TruncatedSeries, "comp_inverse")
+    pair = family(label, 48).pair
+    sequence_via_egf(pair, 48)
+    assert composed == [] and inverted == []
+    sequence_via_egf(fresh(pair), 48)
+    assert len(composed) == 1 and inverted == [(pair.f,)]
 
 
 def test_normal_order_rhs_core_work(monkeypatch):
