@@ -3,29 +3,27 @@
 Each family is declared once, as one record in ``_FAMILIES``: a builder of
 the defining pair (f, g) as exact series from x and 1 at the requested
 order, a builder of its generating function's exact series finv and
-1/g(finv) at that order, a closed-form generating-function evaluator,
-closed-form complex maps for f, its compositional inverse and g (used by
-the Fock verifier at arguments beyond the series trust radius), documented
-numeric guards, an
-independent polynomial oracle where a classical one exists (else None) and
-notes. ``FAMILY_LABELS`` is the table's order. ``family``, ``oracle_polys``
-and ``egf_eval`` find a label through one lookup, which raises
-``UnknownFamily``. The maps and evaluators are plain ``cmath``: this module
-imports nothing from the numeric Fock layer (``sheffer.fock``), which reads
-the maps and guards from the entries ``family`` builds. The discrepancies
-recorded in a family's ``notes`` are decided numerically by the coherent
-suite (``suites._adjudication_rows``).
+1/g(finv) at that order, closed-form complex maps for f, its compositional
+inverse and g, documented numeric guards, an independent polynomial oracle
+where a classical one exists (else None) and notes. ``FAMILY_LABELS`` is the
+table's order; ``family``, ``oracle_polys`` and ``egf_eval`` find a label
+through one lookup, which raises ``UnknownFamily``.
+
+The maps have one evaluator, ``ClosedMaps.factor``, in plain ``cmath``: the
+paper's g(z')/g(c) exp(z*(c - z')), c = finv(lambda + f(z')). Times <z|z'>
+it is ``fock.exp_element_coherent_closed``, at z' = 0 the generating
+function exp(x*finv(t))/g(finv(t)) of ``egf_eval``, and on Horner maps of
+the truncated pair the Fock layer's series route. The discrepancies in a
+family's ``notes`` are decided by the coherent suite's adjudication rows.
 
 Only f is printed in the usual operator tables; every g here is derived
 from the generating function's prefactor (prefactor = 1/g(finv(t)), so
-g(t) = 1/prefactor(f(t))). The generating function exp(x*finv(t))/g(finv(t))
-is the classical closed form (Roman, The Umbral Calculus, 1984), so a
-catalog pair arrives with ``finv`` and ``prefactor`` read off the record's
-coefficient formulas instead of solved for by Newton inversion and
-composition; a pair built anew from (f, g) still solves for them. The test
-suite checks each record against that solve, and the monomiality suite's
-``route_equivalence`` rows check the generating-function route, which reads
-the record, against the raising route, which reads only f and g.
+g(t) = 1/prefactor(f(t))). That generating function is the classical closed
+form (Roman, The Umbral Calculus, 1984), so a catalog pair arrives with
+``finv`` and ``prefactor`` read off the record's coefficient formulas; a pair
+built anew from (f, g) solves for them by Newton inversion and composition.
+Tests check each record against that solve; the monomiality suite's
+``route_equivalence`` rows check it against the raising route (f and g only).
 
 The three guards, fields of each record that ``family`` copies onto its entry:
 
@@ -48,7 +46,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Callable, NamedTuple, Optional
 
-from .errors import GuardExceeded, UnknownFamily
+from .errors import GuardExceeded, UnknownFamily, check_guard
 from .sequences import ShefferPair, _check_degree, sequence_via_egf
 from .series import (
     Polynomial,
@@ -64,11 +62,19 @@ from .series import (
 # The record types here are NamedTuples, not frozen dataclasses: they are
 # defined at import, where a dataclass costs about 1 ms more
 class ClosedMaps(NamedTuple):
-    """Closed-form complex evaluators for f, its inverse, and g (by default 1)."""
+    """Complex evaluators for f, its inverse, and g (by default 1)."""
 
     f: Callable[[complex], complex]
     finv: Callable[[complex], complex]
     g: Callable[[complex], complex] = lambda w: 1.0 + 0j
+
+    def factor(self, zstar: complex, zp: complex, lam: complex) -> complex:
+        """g(z')/g(c) exp(z*(c - z')), c = finv(lam + f(z')): <z|exp(lam*M)|z'>/<z|z'>.
+
+        At z' = 0 and z* = x it is the generating function exp(x*finv(lam))/g(finv(lam)).
+        """
+        c = self.finv(lam + self.f(zp))
+        return self.g(zp) / self.g(c) * cmath.exp(zstar * (c - zp))
 
 
 class FamilyEntry(NamedTuple):
@@ -77,7 +83,6 @@ class FamilyEntry(NamedTuple):
     guard_radius: float
     z_guard: float
     lam_guard: float
-    closed_egf: Callable[[complex, complex], complex]
     maps: ClosedMaps
     notes: tuple
 
@@ -203,7 +208,6 @@ class _Family(NamedTuple):
 
     fg: Callable[[TruncatedSeries, TruncatedSeries], tuple]
     egf: Callable[[int], tuple]
-    closed_egf: Callable[[complex, complex], complex]
     maps: ClosedMaps
     guard_radius: float
     z_guard: float
@@ -222,7 +226,6 @@ _FAMILIES = {
             TruncatedSeries.from_coeffs([0, 2], n),
             _series(n, lambda k: 0 if k % 2 else Fraction((-1) ** (k // 2), factorial(k // 2))),
         ),
-        closed_egf=lambda lam, x: cmath.exp(2 * lam * x - lam * lam),
         maps=ClosedMaps(f=lambda w: w / 2, finv=lambda w: 2 * w, g=lambda w: cmath.exp(w * w / 4)),
         guard_radius=2.0, z_guard=1.0, lam_guard=1.0,
         oracle=_hermite_oracle,
@@ -231,7 +234,6 @@ _FAMILIES = {
         fg=lambda x, one: (x * (x - 1).reciprocal(), (one - x).reciprocal()),
         # finv = t/(t-1), 1/g(finv) = 1/(1-t)
         egf=lambda n: (_series(n, lambda k: -1 if k else 0), _series(n, lambda k: 1)),
-        closed_egf=lambda lam, x: cmath.exp(x * lam / (lam - 1)) / (1 - lam),
         maps=ClosedMaps(f=lambda w: w / (w - 1), finv=lambda w: w / (w - 1),
                         g=lambda w: 1 / (1 - w)),
         guard_radius=1.0, z_guard=0.5, lam_guard=0.3,
@@ -249,7 +251,6 @@ _FAMILIES = {
             _series(n, lambda k: Fraction(comb(2 * k - 2, k - 1), k << (k - 1)) if k else 0),
             TruncatedSeries.one(n),
         ),
-        closed_egf=lambda lam, x: cmath.exp(x * (1 - cmath.sqrt(1 - 2 * lam))),
         maps=ClosedMaps(f=lambda w: w - w * w / 2, finv=lambda w: 1 - cmath.sqrt(1 - 2 * w)),
         guard_radius=0.5, z_guard=0.25, lam_guard=0.12,
     ),
@@ -259,7 +260,6 @@ _FAMILIES = {
         egf=lambda n: (
             _series(n, lambda k: Fraction(1, factorial(k)) if k else 0), TruncatedSeries.one(n)
         ),
-        closed_egf=lambda lam, x: cmath.exp(x * (cmath.exp(lam) - 1)),
         maps=ClosedMaps(f=lambda w: cmath.log(1 + w), finv=lambda w: cmath.exp(w) - 1),
         guard_radius=2.0, z_guard=1.0, lam_guard=1.0,
         oracle=_bell_oracle,
@@ -270,7 +270,6 @@ _FAMILIES = {
         egf=lambda n: (
             _series(n, lambda k: Fraction((-1) ** (k + 1), k) if k else 0), TruncatedSeries.one(n)
         ),
-        closed_egf=lambda lam, x: cmath.exp(x * cmath.log(1 + lam)),
         maps=ClosedMaps(f=lambda w: cmath.exp(w) - 1, finv=lambda w: cmath.log(1 + w)),
         guard_radius=1.0, z_guard=1.0, lam_guard=0.2,
         oracle=_lower_factorial_oracle,
@@ -285,7 +284,6 @@ _FAMILIES = {
                 n, lambda k: 0 if k % 2 else Fraction((-1) ** (k // 2) * comb(k, k // 2), 1 << k)
             ),
         ),
-        closed_egf=lambda lam, x: cmath.exp(x * cmath.atan(lam)) / cmath.sqrt(1 + lam * lam),
         maps=ClosedMaps(f=cmath.tan, finv=cmath.atan, g=lambda w: 1 / cmath.cos(w)),
         guard_radius=1.0, z_guard=0.8, lam_guard=0.15,
         notes=(
@@ -304,7 +302,6 @@ _FAMILIES = {
         egf=lambda n: (
             _series(n, lambda k: Fraction(1, factorial(k - 1)) if k else 0), TruncatedSeries.one(n)
         ),
-        closed_egf=lambda lam, x: cmath.exp(x * lam * cmath.exp(lam)),
         maps=ClosedMaps(f=_lambertw, finv=lambda w: w * cmath.exp(w)),
         guard_radius=2.0, z_guard=0.12, lam_guard=0.3,
         oracle=_idempotent_oracle,
@@ -337,7 +334,6 @@ def family(label: str, order: int = 16) -> FamilyEntry:
         guard_radius=record.guard_radius,
         z_guard=record.z_guard,
         lam_guard=record.lam_guard,
-        closed_egf=record.closed_egf,
         maps=record.maps,
         notes=record.notes,
     )
@@ -357,10 +353,10 @@ def oracle_polys(label: str, n_max: int) -> list:
 
 
 def egf_eval(label: str, lam: complex, x: complex) -> complex:
-    """Closed-form generating-function value, guarded at the trust radius."""
+    """The generating function exp(x*finv(lam))/g(finv(lam)), guarded at the trust radius.
+
+    It is the record's ``maps.factor`` at z' = 0 and z* = x.
+    """
     record = _record(label)
-    if not abs(lam) <= record.guard_radius:  # NaN fails too
-        raise GuardExceeded(
-            f"|lambda| = {abs(lam):.6g} exceeds {label} guard {record.guard_radius:.6g}"
-        )
-    return record.closed_egf(complex(lam), complex(x))
+    check_guard("|lambda|", record.guard_radius, lam)
+    return record.maps.factor(complex(x), 0j, complex(lam))

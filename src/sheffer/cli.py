@@ -339,7 +339,11 @@ def parse_series(text: str, order: int) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
-_MAX_CUTOFF = 1024
+_MAX_CUTOFF = 1024  # FockSpace holds dense cutoff x cutoff complex matrices: 16 MB at 1024
+# Largest series order, lambda order, a order and gen degree. Bit heights grow
+# with the order: ``gen --family hahn --order 512`` takes 2.2 s, 24 s at 1024
+# (two-core Xeon); 10^8 would allocate a 10^8-entry list before any arithmetic
+_MAX_ORDER = 512
 
 
 @dataclass
@@ -354,12 +358,13 @@ class RunConfig:
     seed: int = 7
 
     def __post_init__(self):
-        for name in ("order", "lam_order", "a_order", "cutoff", "draws"):
-            if getattr(self, name) <= 0:
+        for name, top in (("order", _MAX_ORDER), ("lam_order", _MAX_ORDER),
+                          ("a_order", _MAX_ORDER), ("cutoff", _MAX_CUTOFF), ("draws", None)):
+            value = getattr(self, name)
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.cutoff > _MAX_CUTOFF:
-            # FockSpace holds dense cutoff x cutoff complex matrices: 16 MB each at 1024
-            raise ValueError(f"cutoff must be at most {_MAX_CUTOFF}, got {self.cutoff}")
+            if top is not None and value > top:
+                raise ValueError(f"{name} must be at most {top}, got {value}")
         if self.cutoff < MIN_CUTOFF:
             raise ValueError(f"cutoff must be at least {MIN_CUTOFF}, got {self.cutoff}")
         if not 0 < self.tol < 1:
@@ -494,8 +499,8 @@ def _cmd_list(args) -> int:
 
 def _cmd_gen(args) -> int:
     cfg = config_from(args)
-    if args.n < 0:
-        raise ValueError(f"--n must be >= 0, got {args.n}")
+    if not 0 <= args.n <= _MAX_ORDER:
+        raise ValueError(f"--n must be in 0..{_MAX_ORDER}, got {args.n}")
     pair = _resolve_pair(args, max(cfg.order, args.n))
     label = args.family or "custom"
     seq = sequence_via_egf(pair, args.n)

@@ -25,6 +25,13 @@ class GuardExceeded(ShefferError):
     """Numeric evaluation requested outside the caller-declared trust radius."""
 
 
+def check_guard(name: str, guard: float, *values: complex) -> None:
+    """Raise GuardExceeded naming ``name`` unless every |value| <= guard; NaN fails too."""
+    for value in values:
+        if not abs(value) <= guard:
+            raise GuardExceeded(f"{name} = {abs(value):.6g} exceeds guard {guard:.6g}")
+
+
 class OrderExceeded(ShefferError):
     """Requested degree or index exceeds the available truncation order."""
 

@@ -4,12 +4,14 @@ The package's floating-point layer; it and ``suites`` are the modules that
 import numpy, and ``import sheffer`` resolves this one's public names on
 first access. It provides:
 
-* closed-form coherent-state matrix elements of M^n and exp(lambda*M),
-  and the series route for <z|exp(lambda*M)|z'> that pairs without closed
-  maps rely on (``exp_element_coherent``): the paper's
-  g(z')/g(c) exp(z*(c - z')) <z|z'> with c = finv(lambda + f(z')), found by
-  complex Newton on the truncated f and returned with an embedded relative
-  error estimate from the same evaluation at three quarters of the order;
+* closed-form coherent-state matrix elements of M^n and exp(lambda*M).
+  <z|exp(lambda*M)|z'> is ``catalog.ClosedMaps.factor`` times <z|z'>, on a
+  family's closed maps (``exp_element_coherent_closed``) or, for any pair,
+  on Horner maps of the truncated f and g with finv by complex Newton
+  (``exp_element_coherent``, whose error estimate is the same evaluation at
+  three quarters of the order). One overflow contract (``_finite``) covers
+  every element that can overflow: a division by zero, an overflow or a
+  value that is not finite raises GuardExceeded;
 * a numeric verifier on truncated Fock-space matrices (``fock_verify``).
 
 Everything the closed forms and the verifier need from a pair that does not
@@ -56,12 +58,13 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb, factorial
 
 import numpy as np
 
-from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded
+from .catalog import ClosedMaps
+from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded, check_guard
 from .series import Polynomial, SeriesValue
 from .sequences import ShefferPair, build_M, sequence_via_egf
 from .weyl import WeylElement
@@ -124,37 +127,52 @@ def _shift_weights(coeffs) -> np.ndarray:
     return out
 
 
-def _check_guard(name: str, value: complex, guard: float):
-    if not abs(value) <= guard:  # NaN fails too
-        raise GuardExceeded(f"|{name}| = {abs(value):.6g} exceeds guard {guard:.6g}")
-
-
 def check_coherent_guards(zp: complex, lam: complex, z_guard: float, lam_guard: float):
     """Raise GuardExceeded when |z'| or |lambda| lies past its trust radius."""
-    _check_guard("z'", zp, z_guard)
-    _check_guard("lambda", lam, lam_guard)
+    check_guard("|z'|", z_guard, zp)
+    check_guard("|lambda|", lam_guard, lam)
+
+
+def _finite(what: str, compute, *args):
+    """compute(*args); GuardExceeded naming ``what`` if it divides by zero,
+    overflows, or has a part (a SeriesValue's tail too) that is not finite."""
+    try:
+        out = compute(*args)
+        if np.isfinite(out).all():
+            return out
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise GuardExceeded(f"{what} divides by zero or overflows")
 
 
 _NEWTON_STEPS = 64
 
 
-def _coherent_factor(part, zstar: complex, zp: complex, lam: complex) -> complex:
-    """g(z')/g(c) exp(z*(c - z')) on one truncation (f, f', g), f(c) = lam + f(z').
+def _newton_inverse(f, df, start: complex, target: complex) -> complex:
+    """The c with f(c) = target for the polynomial f, by Newton from c = start.
 
-    Newton runs from c = z' until a step falls below 1e-14 (1 + |c|); at
-    the quadratic rate the c it leaves is far closer than that last step.
+    It stops at a step below 1e-14 (1 + |c|); at the quadratic rate the c it
+    leaves is far closer than that last step.
     """
-    f, df, g = part
-    target = lam + _horner(f, zp)
-    c = zp
+    c = start
     for _ in range(_NEWTON_STEPS):
         step = (_horner(f, c) - target) / _horner(df, c)
         c -= step
         if abs(step) <= 1e-14 * (1 + abs(c)):
-            return _horner(g, zp) / _horner(g, c) * cmath.exp(zstar * (c - zp))
+            return c
     raise GuardExceeded(
-        f"Newton on f(c) = {target} from c = {zp} did not converge in {_NEWTON_STEPS} steps"
+        f"Newton on f(c) = {target} from c = {start} did not converge in {_NEWTON_STEPS} steps"
     )
+
+
+def _lambda_sum(table, lam: complex, zstar: complex, l: int) -> complex:
+    """sum_k table[k](z*) lam^k / k!, over sqrt(l!); table holds rounded polynomials."""
+    acc = _horner(table[0], zstar)
+    power = 1.0 + 0j
+    for k in range(1, len(table)):
+        power *= lam
+        acc += _horner(table[k], zstar) * power / factorial(k)
+    return acc / math.sqrt(factorial(l))
 
 
 class CompiledPair:
@@ -237,61 +255,43 @@ class CompiledPair:
         return _horner(self._chain(l)[n], complex(zstar)) / math.sqrt(factorial(l))
 
     def exp_element_vac(self, lam: complex, zstar: complex, guard: float) -> complex:
-        _check_guard("lambda", lam, guard)
+        check_guard("|lambda|", guard, lam)
         finv, prefactor = self._vacuum
-        try:
-            value = _horner(prefactor, lam) * cmath.exp(complex(zstar) * _horner(finv, lam))
-            if cmath.isfinite(value):
-                return value
-        except OverflowError:
-            pass
-        raise GuardExceeded(f"vacuum element at lam={lam} overflows complex floating point")
+        return _finite(f"vacuum element at lam={lam}", lambda: _horner(prefactor, lam)
+                       * cmath.exp(complex(zstar) * _horner(finv, lam)))
 
     def exp_element_state(self, lam: complex, zstar: complex, l: int, guard: float) -> complex:
         if l > self.order:
             raise OrderExceeded(f"l = {l} exceeds series order {self.order}")
         if l < 0:
             raise IndexOutOfRange(f"number state |{l}> does not exist")
-        _check_guard("lambda", lam, guard)
-        zs = complex(zstar)
-        acc = 0j
-        power = 1.0 + 0j
-        for m in range(self.order - l + 1):
-            acc += _horner(self._sequence[m + l], zs) * power / factorial(m)
-            power *= lam
-        return acc / math.sqrt(factorial(l))
+        check_guard("|lambda|", guard, lam)
+        return _lambda_sum(self._sequence[l:], lam, complex(zstar), l)
 
     def exp_element_state_operator(
         self, lam: complex, zstar: complex, l: int, guard: float
     ) -> complex:
-        _check_guard("lambda", lam, guard)
+        check_guard("|lambda|", guard, lam)
         k_top = self.order - 1
         if l > k_top:
             raise OrderExceeded(f"l = {l} exceeds usable degree {k_top}")
-        zs = complex(zstar)
-        chain = self._chain(l)
-        acc = _horner(chain[0], zs)
-        power = 1.0 + 0j
-        for k in range(1, k_top - l + 1):
-            power *= lam
-            acc += _horner(chain[k], zs) * power / factorial(k)
-        return acc / math.sqrt(factorial(l))
+        return _lambda_sum(self._chain(l), lam, complex(zstar), l)
+
+    def _coherent_value(self, z: complex, zp: complex, lam: complex) -> SeriesValue:
+        value, low = (
+            ClosedMaps(partial(_horner, f), partial(_newton_inverse, f, df, zp),
+                       partial(_horner, g)).factor(complex(z).conjugate(), zp, lam)
+            for f, df, g in self._coherent_parts
+        )
+        return SeriesValue(value * overlap(z, zp), abs(value - low) / abs(value))
 
     def exp_element_coherent(
         self, z: complex, zp: complex, lam: complex, lam_guard: float, z_guard: float
     ) -> SeriesValue:
         check_coherent_guards(zp, lam, z_guard, lam_guard)
-        zp, zstar = complex(zp), complex(z).conjugate()
-        try:
-            value, low = (_coherent_factor(p, zstar, zp, lam) for p in self._coherent_parts)
-            estimate = abs(value - low) / abs(value)
-            value *= overlap(z, zp)
-            if cmath.isfinite(value) and not math.isnan(estimate):
-                return SeriesValue(value, estimate)
-        except (OverflowError, ZeroDivisionError):
-            pass
-        raise GuardExceeded(
-            f"coherent element at z'={zp}, lam={lam} divides by zero or overflows"
+        zp = complex(zp)
+        return _finite(
+            f"coherent element at z'={zp}, lam={lam}", self._coherent_value, z, zp, lam
         )
 
     # -- Fock-space images of M ----------------------------------------------
@@ -373,42 +373,25 @@ def exp_element_coherent(
 ) -> SeriesValue:
     """<z|exp(lam*M)|z'> including the overlap factor, on the truncated pair.
 
-    Evaluates g(z')/g(c) * exp(z*(c - z')) * <z|z'> with c = finv(lam + f(z'))
-    on the pair's polynomials f_N and g_N, N the pair order: complex Newton
-    solves f_N(c) = lam + f_N(z') from c = z'. The same value with f and g
-    cut to order 3N/4 gives the returned ``SeriesValue(value, tail)`` its
-    tail, the relative estimate |v_N - v_3N/4| / |v_N|; ``fock_verify``
-    refuses the value with GuardExceeded when that exceeds its ``tol``.
-    Newton that does not converge, a zero slope f_N'(c) or g_N(c), and a
-    value that overflows complex floating point raise GuardExceeded, as do
-    |z'| and |lambda| past ``z_guard`` and ``lam_guard``.
+    ``ClosedMaps.factor`` times <z|z'> on the Horner maps of f_N and g_N, N
+    the pair order, with finv by complex Newton from c = z'. The same value
+    at order 3N/4 gives the returned ``SeriesValue(value, tail)`` its tail
+    |v_N - v_3N/4| / |v_N|; ``fock_verify`` refuses a tail above its ``tol``.
+    Newton that does not converge, a zero f_N'(c) or g_N(c), and a value
+    that overflows raise GuardExceeded, as do |z'| and |lambda| past
+    ``z_guard`` and ``lam_guard``.
     """
     return compile_pair(pair).exp_element_coherent(z, zp, lam, lam_guard, z_guard)
 
 
 def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> complex:
-    """<z|exp(lam*M)|z'> including overlap, from closed-form maps.
+    """<z|exp(lam*M)|z'> including overlap: ``maps.factor(z*, z', lam) * overlap(z, z')``.
 
-    ``maps`` provides complex callables f, finv, g (see catalog.ClosedMaps).
-    As for ``exp_element_coherent``, a value that divides by zero, overflows
-    complex floating point or is not finite raises GuardExceeded.
+    Under the same overflow contract as ``exp_element_coherent``.
     """
-    try:
-        w = lam + maps.f(zp)
-        c = maps.finv(w)
-        value = (
-            maps.g(zp)
-            / maps.g(c)
-            * cmath.exp(z.conjugate() * (c - zp))
-            * overlap(z, zp)
-        )
-        if cmath.isfinite(value):
-            return value
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise GuardExceeded(
-        f"closed-form coherent element at z={z}, z'={zp}, lam={lam} "
-        "divides by zero or overflows"
+    return _finite(
+        f"closed-form coherent element at z={z}, z'={zp}, lam={lam}",
+        lambda: maps.factor(z.conjugate(), zp, lam) * overlap(z, zp),
     )
 
 
@@ -503,9 +486,14 @@ class FockSpace:
             raise ValueError("Fock cutoff must be >= 2")
         self.dim = dim
         self._roots = np.sqrt(np.arange(2 * dim, dtype=float))
-        root = self._roots[1:dim]
-        self.a = np.diag(root, k=1).astype(complex)
-        self.adag = np.diag(root, k=-1).astype(complex)
+
+    @cached_property  # dense a and adag are built on first read: a draw reads neither
+    def a(self) -> np.ndarray:
+        return np.diag(self._roots[1 : self.dim], k=1).astype(complex)
+
+    @cached_property
+    def adag(self) -> np.ndarray:
+        return np.diag(self._roots[1 : self.dim], k=-1).astype(complex)
 
     def number_vec(self, l: int) -> np.ndarray:
         if l >= self.dim:
@@ -664,8 +652,7 @@ def fock_verify(
     if cutoff < MIN_CUTOFF:
         raise CutoffTooSmall(f"Fock cutoff must be >= {MIN_CUTOFF}")
     z, zp, lam = params.z, params.zp, params.lam
-    if not (abs(z) <= 1 and abs(zp) <= 1):  # NaN fails too
-        raise GuardExceeded("|z| and |z'| must be <= 1")
+    check_guard("|z| and |z'|", 1.0, z, zp)
     check_coherent_guards(zp, lam, z_guard, lam_guard)
 
     space = FockSpace(cutoff)
@@ -694,7 +681,8 @@ def fock_verify(
             num = complex(np.vdot(z_vec, w))
             closed = compiled.mono_element_operator(n, l, zs) * vac_factor
             vals.append((num, closed))
-            printed.append((num, compiled.mono_element(n, l, zs) * vac_factor))
+            if l > 0:  # only there is the printed form adjudicated
+                printed.append((num, compiled.mono_element(n, l, zs) * vac_factor))
         name = "moments_vacuum" if l == 0 else f"moments_state_operator_l{l}"
         rows.append(_batched_row(name, vals, tol, tail))
         if l > 0:

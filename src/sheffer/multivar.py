@@ -159,7 +159,10 @@ def umbral_S(pair: ShefferPair, n: int) -> BivariatePolynomial:
     _check_degree(n, "degree")
     if n > pair.order:
         raise OrderExceeded(f"S_{n} needs the sequence to degree {n}")
-    seq = sequence_via_egf(pair, n)
+    return _composite(sequence_via_egf(pair, n), n)
+
+
+def _composite(seq, n: int) -> BivariatePolynomial:  # seq reaches degree n or beyond
     acc = BivariatePolynomial.zero()
     for r in range(n // 2 + 1):
         weight = Fraction(factorial(n), factorial(n - 2 * r) * factorial(r))
@@ -206,7 +209,8 @@ def theta_pi_check(pair: ShefferPair, n_max: int) -> list:
                 {"identity": "pi_theta_commutator", "i": i, "j": j,
                  "pass": comm.apply(mono) == mono}
             )
-    composites = [umbral_S(pair, n) for n in range(n_max + 2)]
+    seq = sequence_via_egf(pair, n_max + 1)
+    composites = [_composite(seq, n) for n in range(n_max + 2)]
     for n in range(n_max + 1):
         rows.append(
             {"identity": "theta_ladder_recorded", "n": n, "pass": True,

@@ -39,12 +39,12 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import (
     BadConstantTerm,
-    GuardExceeded,
     IndexOutOfRange,
     NonzeroInnerConstant,
     NotInvertible,
     OrderExceeded,
     ZeroConstantTerm,
+    check_guard,
 )
 
 RationalLike = Union[Fraction, int]
@@ -434,8 +434,7 @@ class TruncatedSeries:
 
         Returns the value together with a crude tail estimate |a_N z^N|.
         """
-        if not abs(z) <= guard:  # NaN fails too
-            raise GuardExceeded(f"|z| = {abs(z):.6g} exceeds guard {guard:.6g}")
+        check_guard("|z|", guard, z)
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + complex(c)

@@ -25,7 +25,8 @@ from sheffer import (
     sequence_via_egf,
     sqrt_series,
 )
-from sheffer.catalog import _lambertw
+from sheffer.catalog import FamilyEntry, _Family, _lambertw
+from sheffer.fock import exp_element_coherent_closed, overlap
 
 
 def test_unknown_family():
@@ -168,6 +169,24 @@ def test_truncated_sum_matches_closed_egf(label):
                 total += complex(seq.poly(n)(x)) * lam**n / factorial(n)
             closed = egf_eval(label, lam, x)
             assert abs(total - closed) <= 1e-9 * abs(closed), (label, lam, x)
+
+
+def test_every_closed_route_is_the_records_factor():
+    # the closed coherent element and the generating function are the one
+    # evaluator ClosedMaps.factor, bit for bit; no record carries a second one
+    rng = np.random.default_rng(22)
+    for label in FAMILY_LABELS:
+        entry = family(label)
+        for _ in range(20):
+            z, zp, lam = (complex(*rng.uniform(-1, 1, 2)) * r
+                          for r in (1.0, entry.z_guard, entry.lam_guard))
+            closed = exp_element_coherent_closed(entry.maps, z, zp, lam)
+            assert closed == entry.maps.factor(z.conjugate(), zp, lam) * overlap(z, zp), label
+            x = complex(*rng.uniform(-1, 1, 2))
+            lam = lam / entry.lam_guard * entry.guard_radius * 0.7
+            assert egf_eval(label, lam, x) == entry.maps.factor(x, 0j, lam), label
+    assert "closed_egf" not in _Family._fields
+    assert "closed_egf" not in FamilyEntry._fields
 
 
 def test_closed_maps_are_consistent():

@@ -229,6 +229,30 @@ def test_config_validation():
         RunConfig(cutoff=1025)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("gen", "--family", "hermite", "--n", "3", "--order", "100000000"),
+        ("gen", "--family", "hermite", "--n", "100000000"),
+        ("normal-order", "--family", "hermite", "--lambda-order", "100000000"),
+        ("verify", "--lambda-order", "100000000"),
+    ),
+    ids=" ".join,
+)
+def test_a_huge_order_is_a_usage_error(capsys, argv):
+    # refused before any series is allocated, not as a MemoryError
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "512" in err
+    assert err.count("\n") == 1
+
+
+def test_order_bound_admits_its_limit():
+    assert RunConfig(order=512, lam_order=512, a_order=512).order == 512
+    with pytest.raises(ValueError, match="a_order must be at most 512"):
+        RunConfig(a_order=513)
+
+
 # -- commands ----------------------------------------------------------------------
 
 
@@ -577,6 +601,13 @@ GOLDEN_STDOUT = {
         "5181862b60bc141f6729142bcdac0f2d42e59b99bacb2431f1b6ce0c47c37055",
     ("normal-order", "--family", "hahn", "--lambda-order", "12", "--a-order", "16"):
         "0e2b706f07fc74ffe1a7ef9a60c4a47ff7ba319172f91c5dc85403f673fc4b38",
+    # recorded before the closed route, the series route and egf_eval became
+    # one ClosedMaps evaluator: a non-default order, and hahn's closed maps
+    ("verify", "coherent", "--seed", "20050429", "--order", "20"):
+        "5c1a433cbe6815fc9c602f21a1859f33eb62a78638452b57ed1a15947261d870",
+    ("matrix-element", "--family", "hahn", "--z", "0.4,0.1", "--zp", "0.2,-0.3",
+     "--lambda", "0.05,0.02", "--fock-check"):
+        "dae97c2ce47d99c35d70eaa27fd6e8c6634d3378fc79119313b6d9f8cb22721a",
 }
 
 

@@ -17,6 +17,7 @@ from sheffer import (
     theta_pi_check,
     umbral_S,
 )
+from sheffer import multivar
 from sheffer.multivar import BivarOperator
 from sheffer.suites import rows_pass
 from sheffer.weyl import WeylElement, weyl_mul
@@ -106,6 +107,19 @@ def test_theta_pi_commutator_all_families(label):
     assert rows_pass(rows)
     ladder = [r for r in rows if r["identity"] == "theta_ladder_recorded"]
     assert ladder and all("holds" in r for r in ladder)
+
+
+def test_theta_pi_check_builds_its_composites_from_one_sequence(monkeypatch):
+    calls = []
+    original = multivar.sequence_via_egf
+
+    def counted(pair, n):
+        calls.append(n)
+        return original(pair, n)
+
+    monkeypatch.setattr(multivar, "sequence_via_egf", counted)
+    assert rows_pass(theta_pi_check(family("bell", 12).pair, 4))
+    assert calls == [5]
 
 
 def test_theta_ladder_status_is_recorded_not_asserted():

@@ -292,6 +292,32 @@ def test_fock_verify_refuses_a_coherent_series_value_past_its_estimate():
         fock_verify(entry.pair, params, **guards)
 
 
+def test_fock_verify_evaluates_the_printed_moments_only_where_adjudicated(monkeypatch):
+    # the printed rule is adjudicated at l = 1, 2 only: 6 moments each, none at l = 0
+    calls = Counter()
+    original = fock.CompiledPair.mono_element
+
+    def counted(self, *args):
+        calls["mono_element"] += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(fock.CompiledPair, "mono_element", counted)
+    entry = family("bell", 16)
+    params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
+    rows = fock_verify(entry.pair, params, maps=entry.maps,
+                       z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    assert rows_pass(rows)
+    assert calls["mono_element"] == 12
+
+
+def test_fock_space_builds_a_and_adag_on_first_read():
+    space = FockSpace(32)
+    assert "a" not in vars(space) and "adag" not in vars(space)
+    assert np.array_equal(space.a, space.adag.T)
+    assert space.a[3, 4] == 2 and space.a.dtype == complex
+    assert space.a is space.a
+
+
 def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
     # the route runs on the rounded truncated pair alone: a complex path
     # through the exact list kernels or the Taylor shift must not come back
