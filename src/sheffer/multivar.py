@@ -15,14 +15,18 @@ operators on (x, y) multiply by ``weyl.weyl_mul``, as one-pair ones do.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 
 from .errors import OrderExceeded
-from .series import BivariatePolynomial, Polynomial, SparseTerms, TruncatedSeries
+from .series import (
+    BivariatePolynomial,
+    Polynomial,
+    SparseTerms,
+    TruncatedSeries,
+    _common_denominator,
+)
 from .sequences import ShefferPair, _check_degree, build_M, build_P, sequence_via_egf
 from .weyl import WeylElement, weyl_mul
-
-_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -49,21 +53,24 @@ class BivarOperator(SparseTerms):
     commutator = WeylElement.commutator
 
     def apply(self, p: BivariatePolynomial) -> BivariatePolynomial:
-        out: dict = {}
-        for (a, b), c in p.terms.items():
-            for (ix, jx, iy, jy), w in self.terms.items():
-                if jx > a or jy > b:
-                    continue
-                ff = (factorial(a) // factorial(a - jx)) * (
-                    factorial(b) // factorial(b - jy)
-                )
-                key = (a + ix - jx, b + iy - jy)
-                s = out.get(key, _ZERO) + c * w * ff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return BivariatePolynomial(out)
+        """Act pair by pair: X^i D^j x^a = a!/(a-j)! x^{a+i-j} for j <= a.
+
+        Integer numerators over the polynomial's and the operator's common
+        denominators are summed, and one Fraction is built per output key.
+        """
+        if not p.terms or not self.terms:
+            return BivariatePolynomial.zero()
+        pn, pd = _common_denominator(list(p.terms.values()))
+        wn, wd = _common_denominator(list(self.terms.values()))
+        ops = list(zip(self.terms, wn))
+        acc: dict = {}
+        for (a, b), c in zip(p.terms, pn):
+            for (ix, jx, iy, jy), w in ops:
+                if jx <= a and jy <= b:
+                    key = (a + ix - jx, b + iy - jy)
+                    acc[key] = acc.get(key, 0) + c * w * perm(a, jx) * perm(b, jy)
+        den = pd * wd
+        return BivariatePolynomial({key: Fraction(v, den) for key, v in acc.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -143,38 +150,59 @@ def hkdf_egf_check(m: int, n_max: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _poly_xy(px: Polynomial, py: Polynomial) -> BivariatePolynomial:
-    terms = {}
-    for i, cx in enumerate(px.coeffs):
-        if not cx:
-            continue
-        for j, cy in enumerate(py.coeffs):
-            if cy:
-                terms[(i, j)] = cx * cy
-    return BivariatePolynomial(terms)
-
-
 def umbral_S(pair: ShefferPair, n: int) -> BivariatePolynomial:
     """Composite S_n(x,y) = n! sum_r s_{n-2r}(x) s_r(y) / ((n-2r)! r!)."""
     _check_degree(n, "degree")
     if n > pair.order:
         raise OrderExceeded(f"S_{n} needs the sequence to degree {n}")
-    return _composite(sequence_via_egf(pair, n), n)
+    return _composite(_sequence_table(pair, n), n)
 
 
-def _composite(seq, n: int) -> BivariatePolynomial:  # seq reaches degree n or beyond
-    acc = BivariatePolynomial.zero()
+def _sequence_table(pair: ShefferPair, n_max: int):
+    """s_0..s_{n_max} as integer coefficient rows over one common denominator."""
+    seq = sequence_via_egf(pair, n_max)
+    polys = [seq.poly(k).coeffs for k in range(n_max + 1)]
+    nums, den = _common_denominator([c for coeffs in polys for c in coeffs])
+    rows, start = [], 0
+    for coeffs in polys:
+        rows.append(nums[start : start + len(coeffs)])
+        start += len(coeffs)
+    return rows, den
+
+
+def _composite(table, n: int) -> BivariatePolynomial:  # table reaches degree n or beyond
+    rows, den = table
+    acc: dict = {}
     for r in range(n // 2 + 1):
-        weight = Fraction(factorial(n), factorial(n - 2 * r) * factorial(r))
-        acc = acc + _poly_xy(seq.poly(n - 2 * r), seq.poly(r)).scale(weight)
-    return acc
+        # n!/((n-2r)! r!) = C(n, 2r) (2r)!/r!, an integer
+        weight = factorial(n) // (factorial(n - 2 * r) * factorial(r))
+        row_y = [(j, cy) for j, cy in enumerate(rows[r]) if cy]
+        for i, cx in enumerate(rows[n - 2 * r]):
+            if cx:
+                wx = weight * cx
+                for j, cy in row_y:
+                    acc[(i, j)] = acc.get((i, j), 0) + wx * cy
+    den *= den
+    return BivariatePolynomial({key: Fraction(v, den) for key, v in acc.items()})
 
 
 def heat_check(pair: ShefferPair, n: int) -> dict:
     """Exact check that f(D_y) S_n = [f(D_x)]^2 S_n; failures are rows."""
+    return _heat_check(pair, n, None)
+
+
+def _heat_rows(pair: ShefferPair, depth: int) -> list:
+    """heat_check rows for n = 0..depth, every S_n read from one sequence table."""
+    table = _sequence_table(pair, min(depth, pair.order))
+    return [_heat_check(pair, n, table) for n in range(depth + 1)]
+
+
+def _heat_check(pair: ShefferPair, n: int, table) -> dict:
+    # table: a _sequence_table to degree n or beyond, or None to build one
+    _check_degree(n, "degree")
     if n > pair.order:
         raise OrderExceeded(f"heat check at degree {n} needs series order >= {n}")
-    s_n = umbral_S(pair, n)
+    s_n = _composite(_sequence_table(pair, n) if table is None else table, n)
     f_trunc = pair.f.truncate(n)
     op_x = BivarOperator.in_x(WeylElement.from_series(f_trunc))
     op_y = BivarOperator.in_y(WeylElement.from_series(f_trunc))
@@ -209,8 +237,8 @@ def theta_pi_check(pair: ShefferPair, n_max: int) -> list:
                 {"identity": "pi_theta_commutator", "i": i, "j": j,
                  "pass": comm.apply(mono) == mono}
             )
-    seq = sequence_via_egf(pair, n_max + 1)
-    composites = [_composite(seq, n) for n in range(n_max + 2)]
+    table = _sequence_table(pair, n_max + 1)
+    composites = [_composite(table, n) for n in range(n_max + 2)]
     for n in range(n_max + 1):
         rows.append(
             {"identity": "theta_ladder_recorded", "n": n, "pass": True,

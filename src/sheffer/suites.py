@@ -5,6 +5,10 @@ the gating signal; rows that merely record an adjudicated or observed
 status carry pass=True plus a status field (``matches_printed``,
 ``holds``, ``decision``), so a correct build reports all-pass while still
 documenting findings.
+
+The coherent suite draws its parameters from ``_PCG64``, numpy's
+``default_rng`` stream reproduced bit for bit in pure Python, so the
+published seeds keep their points and ``numpy.random`` is never loaded.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from .fock import (
 )
 from .multivar import (
     _bessel_ops,
+    _heat_rows,
     evolution_solution,
-    heat_check,
     hkdf,
     hkdf_egf_check,
     hkdf_ladder_check,
@@ -173,6 +177,67 @@ def normal_order_rows(
 # ---------------------------------------------------------------------------
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PCG64:
+    """The stream of numpy's ``default_rng(seed)``, bit for bit, in pure Python.
+
+    SeedSequence hash-mixes the seed's 32-bit words into a pool of four
+    words and expands it into four 64-bit words (low 32-bit word first):
+    the 128-bit LCG state and its increment. Each draw steps the LCG and
+    outputs 64 bits by XSL-RR (O'Neill, HMC-CS-2014-0905), and ``uniform``
+    scales its top 53 bits as numpy's ``Generator.uniform`` does.
+    """
+
+    __slots__ = ("state", "inc")
+
+    def __init__(self, seed: int):
+        words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        mult = 0x43B0D7E5
+
+        def hashmix(value):
+            nonlocal mult
+            value ^= mult
+            mult = mult * 0x931E8875 & _M32
+            value = value * mult & _M32
+            return value ^ value >> 16
+
+        def mix(x, y):
+            r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        mult, state = 0x8B51F9DD, []
+        for i in range(8):
+            value = pool[i % 4] ^ mult
+            mult = mult * 0x58F38DED & _M32
+            value = value * mult & _M32
+            state.append(value ^ value >> 16)
+        s0, s1, i0, i1 = (state[k] | state[k + 1] << 32 for k in range(0, 8, 2))
+        self.inc = (i0 << 64 | i1) << 1 & _M128 | 1
+        self.state = self.inc + (s0 << 64 | s1)
+        self._step()
+
+    def _step(self) -> int:
+        self.state = (self.state * _PCG_MULT + self.inc) & _M128
+        return self.state
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        s = self._step()
+        x, rot = (s >> 64 ^ s) & _M64, s >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        return low + (high - low) * ((x >> 11) * 2.0**-53)
+
+
 def _disk_draw(rng, radius: float) -> complex:
     r = radius * np.sqrt(rng.uniform())
     theta = rng.uniform(0.0, 2 * np.pi)
@@ -191,7 +256,7 @@ def coherent_rows(
     seed: int = 7,
 ) -> list:
     entry = family(label, max(order, 16))
-    rng = np.random.default_rng(seed + FAMILY_LABELS.index(label))
+    rng = _PCG64(seed + FAMILY_LABELS.index(label))
     rows = []
     first_params = None
     for _ in range(draws):
@@ -283,9 +348,7 @@ def _adjudication_rows(label, entry, params, cutoff, tol) -> list:
 
 def heat_rows(label: str, order: int = 16, depth: int = 8) -> list:
     entry = family(label, order)
-    return _tag(
-        [heat_check(entry.pair, n) for n in range(depth + 1)], family=label
-    )
+    return _tag(_heat_rows(entry.pair, depth), family=label)
 
 
 def theta_pi_rows(label: str, order: int = 16, depth: int = 6) -> list:

@@ -1,4 +1,4 @@
-"""The dense bivariate grid and the composed-series normal ordering built on it.
+"""Fraction references for the bivariate kernels.
 
 ``ref_normal_order_rhs`` is the route ``normal_order_rhs`` took before it
 evaluated finv and 1/g(finv) at lambda + f(a) by a Taylor shift: two Horner
@@ -6,6 +6,11 @@ compositions of a bivariate argument and a bivariate reciprocal, one full
 grid product per step. It is kept here as the reference the Taylor-shift
 route must match exactly, and ``_Bivar`` as the grid the kernel tests check
 against plain Fraction loops.
+
+``ref_bivar_apply`` and ``ref_umbral_S`` are the per-term Fraction loops of
+``BivarOperator.apply`` and of the umbral composites before both summed
+integer numerators over common denominators; the integer kernels must match
+them exactly.
 """
 
 from fractions import Fraction
@@ -14,7 +19,14 @@ from operator import add
 
 from sheffer.errors import OrderExceeded
 from sheffer.normord import NormallyOrderedSeries
-from sheffer.series import _common_denominator, _iconv, _kmul, _krecip
+from sheffer.sequences import sequence_via_egf
+from sheffer.series import (
+    BivariatePolynomial,
+    _common_denominator,
+    _iconv,
+    _kmul,
+    _krecip,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -133,3 +145,41 @@ def ref_normal_order_rhs(pair, lam_order, a_order):
             acc = acc * e_part
     return NormallyOrderedSeries(terms, lam_order, a_order)
 
+
+
+def ref_bivar_apply(op, p):
+    """X_x^ix D_x^jx X_y^iy D_y^jy on x^a y^b, one Fraction multiply-add per term."""
+    out: dict = {}
+    for (a, b), c in p.terms.items():
+        for (ix, jx, iy, jy), w in op.terms.items():
+            if jx > a or jy > b:
+                continue
+            ff = (factorial(a) // factorial(a - jx)) * (factorial(b) // factorial(b - jy))
+            key = (a + ix - jx, b + iy - jy)
+            s = out.get(key, _ZERO) + c * w * ff
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return BivariatePolynomial(out)
+
+
+def _poly_xy(px, py):
+    terms = {}
+    for i, cx in enumerate(px.coeffs):
+        if not cx:
+            continue
+        for j, cy in enumerate(py.coeffs):
+            if cy:
+                terms[(i, j)] = cx * cy
+    return BivariatePolynomial(terms)
+
+
+def ref_umbral_S(pair, n):
+    """S_n(x,y) = n! sum_r s_{n-2r}(x) s_r(y) / ((n-2r)! r!) with Fraction weights."""
+    seq = sequence_via_egf(pair, n)
+    acc = BivariatePolynomial.zero()
+    for r in range(n // 2 + 1):
+        weight = Fraction(factorial(n), factorial(n - 2 * r) * factorial(r))
+        acc = acc + _poly_xy(seq.poly(n - 2 * r), seq.poly(r)).scale(weight)
+    return acc

@@ -454,6 +454,25 @@ def test_cutoff_above_the_ceiling_is_a_usage_error(capsys, monkeypatch, refuse_f
     assert "cutoff must be at most 1024" in err
 
 
+@pytest.mark.parametrize("flag, env", [(("--draws", "100000000"), None),
+                                       ((), "SHEFFER_DRAWS=1001")], ids=["flag", "variable"])
+def test_draws_above_the_ceiling_is_a_usage_error(capsys, monkeypatch, refuse_fock_space,
+                                                  flag, env):
+    # refused before any draw: every draw's rows are held until the end
+    if env:
+        monkeypatch.setenv(*env.split("="))
+    code, out, err = run_cli(capsys, "verify", "coherent", "--family", "hermite", *flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: draws must be at most 1000")
+    assert err.count("\n") == 1
+
+
+def test_draws_bound_admits_the_default_and_the_held_out_count():
+    assert RunConfig().draws == 10
+    assert RunConfig(draws=100).draws == 100
+    assert RunConfig(draws=1000).draws == 1000
+
+
 def test_cutoff_below_the_floor_is_a_usage_error(capsys, refuse_fock_space):
     code, out, err = run_cli(
         capsys, "verify", "coherent", "--family", "hermite", "--draws", "1", "--cutoff", "16"
@@ -608,6 +627,10 @@ GOLDEN_STDOUT = {
     ("matrix-element", "--family", "hahn", "--z", "0.4,0.1", "--zp", "0.2,-0.3",
      "--lambda", "0.05,0.02", "--fock-check"):
         "dae97c2ce47d99c35d70eaa27fd6e8c6634d3378fc79119313b6d9f8cb22721a",
+    # recorded while the draws came from numpy.random; bell's seed 2^32 + 3
+    # takes two 32-bit words
+    ("verify", "coherent", "--family", "bell", "--seed", "4294967296", "--draws", "3"):
+        "bba28af8f79ab223abdc5056529fa32313f9867453d513178d0f0fb19ac6cd8d",
 }
 
 

@@ -75,3 +75,31 @@ def test_exact_modules_import_no_numeric_layer(module):
         if name.split(".")[0] in banned or name in banned
     ]
     assert not found, f"{module} imports {found}"
+
+
+def test_verify_coherent_loads_no_numpy_random():
+    # the draws are numpy's default_rng stream, produced without numpy.random
+    script = """
+import contextlib, io, sys
+from sheffer.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["verify", "coherent", "--family", "hermite", "--draws", "1"])
+assert code == 0, code
+assert "numpy" in sys.modules
+loaded = sorted(name for name in sys.modules if name.startswith("numpy.random"))
+assert not loaded, loaded
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sheffer").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_numpy_random(path):
+    tree = ast.parse(path.read_text())
+    found = [name for name, _ in _imported_modules(path) if name.startswith("numpy.random")]
+    found += [node.attr for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr in ("random", "default_rng")]
+    assert not found, f"{path.name} uses {found}"

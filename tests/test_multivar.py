@@ -1,6 +1,11 @@
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+
+import conftest as strat
+from bivar_reference import ref_bivar_apply, ref_umbral_S
 
 from sheffer import (
     BivariatePolynomial,
@@ -18,7 +23,9 @@ from sheffer import (
     umbral_S,
 )
 from sheffer import multivar
+from sheffer.cli import main
 from sheffer.multivar import BivarOperator
+from sheffer.sequences import build_M, build_P
 from sheffer.suites import rows_pass
 from sheffer.weyl import WeylElement, weyl_mul
 
@@ -120,6 +127,59 @@ def test_theta_pi_check_builds_its_composites_from_one_sequence(monkeypatch):
     monkeypatch.setattr(multivar, "sequence_via_egf", counted)
     assert rows_pass(theta_pi_check(family("bell", 12).pair, 4))
     assert calls == [5]
+
+
+def _bivar_operators(pair, depth):
+    """The operators the heat and Theta/Pi checks apply: f(D_x), f(D_y), Pi, Theta."""
+    f_op = WeylElement.from_series(pair.f.truncate(depth))
+    m_op, p_op = build_M(pair, depth), build_P(pair, depth)
+    return [
+        BivarOperator.in_x(f_op),
+        BivarOperator.in_y(f_op),
+        BivarOperator.in_x(p_op),
+        BivarOperator.in_x(m_op) + BivarOperator.in_y(weyl_mul(m_op, p_op)).scale(2),
+    ]
+
+
+def _assert_integer_kernels_match(pair, n_max, depth):
+    ops = _bivar_operators(pair, depth)
+    for op in ops:
+        assert op.apply(B({})) == B({})
+    for n in range(n_max + 1):
+        s_n = umbral_S(pair, n)
+        assert s_n == ref_umbral_S(pair, n)
+        for op in ops:
+            assert op.apply(s_n) == ref_bivar_apply(op, s_n)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_integer_bivariate_kernels_match_the_fraction_loops(label):
+    _assert_integer_kernels_match(family(label, 12).pair, 8, 8)
+
+
+@settings(max_examples=25, deadline=None)
+@given(strat.sheffer_pairs(8), st.integers(0, 8))
+def test_integer_bivariate_kernels_match_on_random_pairs(pair, n_max):
+    _assert_integer_kernels_match(pair, n_max, 6)
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_heat_rows_from_one_table_are_the_heat_checks(label):
+    pair = family(label, 12).pair
+    assert multivar._heat_rows(pair, 8) == [heat_check(pair, n) for n in range(9)]
+
+
+def test_verify_heat_builds_one_sequence_per_family(monkeypatch, capsys):
+    calls = []
+    original = multivar.sequence_via_egf
+
+    def counted(pair, n):
+        calls.append(n)
+        return original(pair, n)
+
+    monkeypatch.setattr(multivar, "sequence_via_egf", counted)
+    assert main(["verify", "heat", "--seed", "7"]) == 0
+    assert calls == [8] * 7
 
 
 def test_theta_ladder_status_is_recorded_not_asserted():

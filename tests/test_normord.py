@@ -50,7 +50,7 @@ from sheffer import fock, normord, sequences, series, weyl
 from sheffer.catalog import FAMILY_LABELS
 from sheffer.fock import compile_pair
 from sheffer.sequences import build_M
-from sheffer.suites import _disk_draw, coherent_rows, rows_pass
+from sheffer.suites import _PCG64, _disk_draw, coherent_rows, rows_pass
 
 
 # -- closed-form matrix elements ------------------------------------------------
@@ -206,6 +206,19 @@ def test_exp_element_coherent_guards():
         exp_element_coherent(pair, 0.1, 0.1, 0.4, lam_guard=0.12)
     with pytest.raises(GuardExceeded, match="z'"):
         exp_element_coherent(pair, 0.1, complex(0.1, math.nan), 0.05, z_guard=0.3)
+
+
+@pytest.mark.parametrize(
+    "seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345, 20050429 + 6],
+    ids=["zero", "one_word_max", "two_words", "three_words", "above_128_bits", "heldout_idempotent"],
+)
+def test_coherent_draw_stream_is_numpys_default_rng(seed):
+    ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        assert ours.uniform() == numpys.uniform()
+        assert ours.uniform(0.0, 2 * math.pi) == numpys.uniform(0.0, 2 * math.pi)
+    ours, numpys = _PCG64(seed), np.random.default_rng(seed)
+    assert [_disk_draw(ours, 0.3) for _ in range(5)] == [_disk_draw(numpys, 0.3) for _ in range(5)]
 
 
 def test_exp_element_coherent_refuses_overflow_inside_the_bell_guards():
