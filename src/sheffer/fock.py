@@ -10,22 +10,27 @@ first access. It provides:
   on Horner maps of the truncated f and g with finv by complex Newton
   (``exp_element_coherent``, whose error estimate is the same evaluation at
   three quarters of the order). One overflow contract (``_finite``) covers
-  every element that can overflow: a division by zero, an overflow or a
-  value that is not finite raises GuardExceeded;
+  every closed form: a division by zero, an overflow (rounding the pair's
+  exact data to complex too) or a value that is not finite raises
+  GuardExceeded;
 * a numeric verifier on truncated Fock-space matrices (``fock_verify``).
 
 Everything the closed forms and the verifier need from a pair that does not
-depend on the coherent-state parameters sits in one ``CompiledPair``, built
-once per pair (``compile_pair`` memoizes on the pair) in exact arithmetic and
-rounded to complex: finv and 1/g(finv), the sequence s_n, the chains
-M^k x^l from one raising operator at the top usable degree, the exact
-k = 1/f' and h*k with binomial-weighted matrices for their Taylor shift,
-the truncated f, f' and g of the coherent series route, and the image of
-M for each Fock cutoff. The exact series among these are read from the
-pair's own cached properties (``ShefferPair.finv``, ``.prefactor`` and
-``.ladder``), which ``sheffer.normord`` reads too. A verifier draw
-then runs on floating point alone: Horner sums, numpy products, and the
-recentred image of M as one matrix-vector product with the powers of z'.
+depend on the coherent-state parameters sits in one ``CompiledPair``, which
+``compile_pair`` keeps in the pair's instance ``__dict__`` beside its exact
+core, so no lookup hashes the pair and the data goes with it. Its parts are
+built on first use in exact arithmetic and rounded to complex: finv and
+1/g(finv), the sequence s_n, the chains M^k x^l from one raising operator
+at the top usable degree, the exact k = 1/f' and h*k with binomial-weighted
+matrices for their Taylor shift, the truncated f, f' and g of the coherent
+series route, and the image of M for each Fock cutoff. The exact series
+among these are read from the pair's own cached properties
+(``ShefferPair.finv``, ``.prefactor`` and ``.ladder``), which
+``sheffer.normord`` reads too. Each closed form is one module function over
+these parts, and ``FockSpace.pair_matrix`` is the one way to the image of
+M. A verifier draw then runs on floating point alone: Horner sums, numpy
+products, and the recentred image of M as one matrix-vector product with
+the powers of z'.
 ``FockSpace`` builds the images of a-series and exp(t*adag) entrywise from
 the factors sqrt((i+m)!/i!) instead of matrix products.
 
@@ -138,7 +143,7 @@ def _finite(what: str, compute, *args):
     overflows, or has a part (a SeriesValue's tail too) that is not finite."""
     try:
         out = compute(*args)
-        if np.isfinite(out).all():
+        if all(map(cmath.isfinite, out if isinstance(out, tuple) else (out,))):
             return out
     except (OverflowError, ZeroDivisionError):
         pass
@@ -184,14 +189,15 @@ class CompiledPair:
     series come from the pair's cached ``finv``, ``prefactor`` and
     ``ladder``, so they are built once per pair object. A Horner sum over
     the rounded coefficients gives the same bits as Horner evaluation of
-    the exact polynomial at a complex point.
+    the exact polynomial at a complex point. ``images`` holds the image of
+    M per Fock cutoff, which ``FockSpace.pair_matrix`` fills.
     """
 
     def __init__(self, pair: ShefferPair):
         self.pair = pair
         self.order = pair.order
         self._chains: dict = {}
-        self._images: dict = {}
+        self.images: dict = {}
 
     @cached_property
     def _vacuum(self):
@@ -238,87 +244,17 @@ class CompiledPair:
         # M = adag*k(a) - (h*k)(a) with k = 1/f' and h = g'/g
         return tuple(_shift_weights(ser.coeffs) for ser in self.pair.ladder)
 
-    # -- closed forms (the public functions below delegate here) --------------
 
-    def mono_element(self, n: int, l: int, zstar: complex) -> complex:
-        if not 0 <= n + l <= self.order:
-            raise OrderExceeded(f"need s_{n + l}, series order is {self.order}")
-        if n < 0 or l < 0:
-            raise IndexOutOfRange(f"M^{n} on |{l}>: a negative index")
-        return _horner(self._sequence[n + l], complex(zstar)) / math.sqrt(factorial(l))
-
-    def mono_element_operator(self, n: int, l: int, zstar: complex) -> complex:
-        if n + l > self.order - 1:
-            raise OrderExceeded(f"need operator exactness to degree {n + l}")
-        if n < 0:
-            raise IndexOutOfRange(f"negative power M^{n}")
-        return _horner(self._chain(l)[n], complex(zstar)) / math.sqrt(factorial(l))
-
-    def exp_element_vac(self, lam: complex, zstar: complex, guard: float) -> complex:
-        check_guard("|lambda|", guard, lam)
-        finv, prefactor = self._vacuum
-        return _finite(f"vacuum element at lam={lam}", lambda: _horner(prefactor, lam)
-                       * cmath.exp(complex(zstar) * _horner(finv, lam)))
-
-    def exp_element_state(self, lam: complex, zstar: complex, l: int, guard: float) -> complex:
-        if l > self.order:
-            raise OrderExceeded(f"l = {l} exceeds series order {self.order}")
-        if l < 0:
-            raise IndexOutOfRange(f"number state |{l}> does not exist")
-        check_guard("|lambda|", guard, lam)
-        return _lambda_sum(self._sequence[l:], lam, complex(zstar), l)
-
-    def exp_element_state_operator(
-        self, lam: complex, zstar: complex, l: int, guard: float
-    ) -> complex:
-        check_guard("|lambda|", guard, lam)
-        k_top = self.order - 1
-        if l > k_top:
-            raise OrderExceeded(f"l = {l} exceeds usable degree {k_top}")
-        return _lambda_sum(self._chain(l), lam, complex(zstar), l)
-
-    def _coherent_value(self, z: complex, zp: complex, lam: complex) -> SeriesValue:
-        value, low = (
-            ClosedMaps(partial(_horner, f), partial(_newton_inverse, f, df, zp),
-                       partial(_horner, g)).factor(complex(z).conjugate(), zp, lam)
-            for f, df, g in self._coherent_parts
-        )
-        return SeriesValue(value * overlap(z, zp), abs(value - low) / abs(value))
-
-    def exp_element_coherent(
-        self, z: complex, zp: complex, lam: complex, lam_guard: float, z_guard: float
-    ) -> SeriesValue:
-        check_coherent_guards(zp, lam, z_guard, lam_guard)
-        zp = complex(zp)
-        return _finite(
-            f"coherent element at z'={zp}, lam={lam}", self._coherent_value, z, zp, lam
-        )
-
-    # -- Fock-space images of M ----------------------------------------------
-
-    def m_image(self, space: "FockSpace") -> np.ndarray:
-        """Cutoff-dim image of M, built once per cutoff; read-only."""
-        image = self._images.get(space.dim)
-        if image is None:
-            k_ser, hk_ser = self.pair.ladder
-            image = space._ladder_image(k_ser.coeffs, hk_ser.coeffs)
-            image.setflags(write=False)
-            self._images[space.dim] = image
-        return image
-
-    def shifted_m_image(self, space: "FockSpace", shift: complex) -> np.ndarray:
-        """Image of M recentred a -> a + shift, with the Taylor shift in complex."""
-        k_weights, hk_weights = self._ladder_shift_weights
-        powers = _powers(shift, len(k_weights))
-        return space._ladder_image(k_weights @ powers, hk_weights @ powers)
-
-
-# pairs are immutable values, so memoizing on them is safe; an LRU here, not
-# a property of the pair, because the exact layer does not import this module
-@lru_cache(maxsize=256)
 def compile_pair(pair: ShefferPair) -> CompiledPair:
-    """The pair's compiled data; one object per distinct pair."""
-    return CompiledPair(pair)
+    """The pair's compiled data, kept in its instance __dict__ beside its exact core.
+
+    Like the core it stays out of the pair's equality and hash, so an equal
+    pair built anew compiles its own, and it is freed with the pair.
+    """
+    compiled = vars(pair).get("_compiled")
+    if compiled is None:
+        compiled = vars(pair)["_compiled"] = CompiledPair(pair)
+    return compiled
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +265,35 @@ def compile_pair(pair: ShefferPair) -> CompiledPair:
 
 def mono_element(pair: ShefferPair, n: int, l: int, zstar: complex) -> complex:
     """Printed closed form s_{n+l}(z*)/sqrt(l!), as a multiple of <z|0>."""
-    return compile_pair(pair).mono_element(n, l, zstar)
+    if not 0 <= n + l <= pair.order:
+        raise OrderExceeded(f"need s_{n + l}, series order is {pair.order}")
+    if n < 0 or l < 0:
+        raise IndexOutOfRange(f"M^{n} on |{l}>: a negative index")
+    return _finite(f"printed <z|M^{n}|{l}>", lambda: _horner(
+        compile_pair(pair)._sequence[n + l], complex(zstar)) / math.sqrt(factorial(l)))
 
 
 def mono_element_operator(pair: ShefferPair, n: int, l: int, zstar: complex) -> complex:
     """Operator-route closed form (M^n x^l)(z*)/sqrt(l!), multiple of <z|0>."""
-    return compile_pair(pair).mono_element_operator(n, l, zstar)
+    if n + l > pair.order - 1:
+        raise OrderExceeded(f"need operator exactness to degree {n + l}")
+    if n < 0:
+        raise IndexOutOfRange(f"negative power M^{n}")
+    return _finite(f"operator <z|M^{n}|{l}>", lambda: _horner(
+        compile_pair(pair)._chain(l)[n], complex(zstar)) / math.sqrt(factorial(l)))
 
 
 def exp_element_vac(
     pair: ShefferPair, lam: complex, zstar: complex, guard: float = 0.5
 ) -> complex:
     """<z|exp(lam*M)|0> / <z|0> via the generating-function series."""
-    return compile_pair(pair).exp_element_vac(lam, zstar, guard)
+    check_guard("|lambda|", guard, lam)
+
+    def compute():
+        finv, prefactor = compile_pair(pair)._vacuum
+        return _horner(prefactor, lam) * cmath.exp(complex(zstar) * _horner(finv, lam))
+
+    return _finite(f"vacuum element at lam={lam}", compute)
 
 
 def exp_element_state(
@@ -352,14 +304,25 @@ def exp_element_state(
     This is the l-th lambda-derivative of the generating function over
     sqrt(l!); like ``mono_element`` it presumes s_l(x) = x^l.
     """
-    return compile_pair(pair).exp_element_state(lam, zstar, l, guard)
+    if l > pair.order:
+        raise OrderExceeded(f"l = {l} exceeds series order {pair.order}")
+    if l < 0:
+        raise IndexOutOfRange(f"number state |{l}> does not exist")
+    check_guard("|lambda|", guard, lam)
+    return _finite(f"printed <z|exp(lam*M)|{l}> at lam={lam}", lambda: _lambda_sum(
+        compile_pair(pair)._sequence[l:], lam, complex(zstar), l))
 
 
 def exp_element_state_operator(
     pair: ShefferPair, lam: complex, zstar: complex, l: int, guard: float = 0.5
 ) -> complex:
     """Operator-route value of <z|exp(lam*M)|l> / <z|0> (truncated in lambda)."""
-    return compile_pair(pair).exp_element_state_operator(lam, zstar, l, guard)
+    check_guard("|lambda|", guard, lam)
+    k_top = pair.order - 1
+    if l > k_top:
+        raise OrderExceeded(f"l = {l} exceeds usable degree {k_top}")
+    return _finite(f"operator <z|exp(lam*M)|{l}> at lam={lam}", lambda: _lambda_sum(
+        compile_pair(pair)._chain(l), lam, complex(zstar), l))
 
 
 def exp_element_coherent(
@@ -381,7 +344,18 @@ def exp_element_coherent(
     that overflows raise GuardExceeded, as do |z'| and |lambda| past
     ``z_guard`` and ``lam_guard``.
     """
-    return compile_pair(pair).exp_element_coherent(z, zp, lam, lam_guard, z_guard)
+    check_coherent_guards(zp, lam, z_guard, lam_guard)
+    zp = complex(zp)
+
+    def compute():
+        value, low = (
+            ClosedMaps(partial(_horner, f), partial(_newton_inverse, f, df, zp),
+                       partial(_horner, g)).factor(complex(z).conjugate(), zp, lam)
+            for f, df, g in compile_pair(pair)._coherent_parts
+        )
+        return SeriesValue(value * overlap(z, zp), abs(value - low) / abs(value))
+
+    return _finite(f"coherent element at z'={zp}, lam={lam}", compute)
 
 
 def exp_element_coherent_closed(maps, z: complex, zp: complex, lam: complex) -> complex:
@@ -554,12 +528,20 @@ class FockSpace:
         """Image of M = adag*k(a) - (h*k)(a), optionally recentred a -> a + shift.
 
         The unshifted image is built once per pair and cutoff and returned
-        read-only.
+        read-only; a shifted one is built from the pair's Taylor-shift
+        weights at each call.
         """
         compiled = compile_pair(pair)
         if shift is None or shift == 0:
-            return compiled.m_image(self)
-        return compiled.shifted_m_image(self, complex(shift))
+            image = compiled.images.get(self.dim)
+            if image is None:
+                image = self._ladder_image(*(ser.coeffs for ser in pair.ladder))
+                image.setflags(write=False)
+                compiled.images[self.dim] = image
+            return image
+        k_weights, hk_weights = compiled._ladder_shift_weights
+        powers = _powers(complex(shift), len(k_weights))
+        return self._ladder_image(k_weights @ powers, hk_weights @ powers)
 
     def exp_adag(self, t: complex) -> np.ndarray:
         """Image of exp(t*adag): entry (n+j, n) is t^j sqrt((n+j)!/n!)/j!."""
@@ -656,13 +638,12 @@ def fock_verify(
     check_coherent_guards(zp, lam, z_guard, lam_guard)
 
     space = FockSpace(cutoff)
-    compiled = compile_pair(pair)
     z_vec, z_tail = space.coherent_vec(z)
     zp_vec, zp_tail = space.coherent_vec(zp)
     tail = max(z_tail, zp_tail)
     if tail > tol:
         raise CutoffTooSmall(f"coherent tail {tail:.3g} above tolerance {tol:.3g}")
-    m_mat = compiled.m_image(space)
+    m_mat = space.pair_matrix(pair)
     vac_factor = cmath.exp(-abs(z) ** 2 / 2)  # <z|0>
     zs = z.conjugate()
     rows = []
@@ -679,10 +660,10 @@ def fock_verify(
         for n in range(1, _MOMENTS_MAX + 1):
             w = m_mat @ w
             num = complex(np.vdot(z_vec, w))
-            closed = compiled.mono_element_operator(n, l, zs) * vac_factor
+            closed = mono_element_operator(pair, n, l, zs) * vac_factor
             vals.append((num, closed))
             if l > 0:  # only there is the printed form adjudicated
-                printed.append((num, compiled.mono_element(n, l, zs) * vac_factor))
+                printed.append((num, mono_element(pair, n, l, zs) * vac_factor))
         name = "moments_vacuum" if l == 0 else f"moments_state_operator_l{l}"
         rows.append(_batched_row(name, vals, tol, tail))
         if l > 0:
@@ -696,12 +677,12 @@ def fock_verify(
         num = complex(np.vdot(z_vec, vec))
         exp_tail = max(tail, exp_tail)
         if l == 0:
-            closed = compiled.exp_element_vac(lam, zs, lam_guard) * vac_factor
+            closed = exp_element_vac(pair, lam, zs, lam_guard) * vac_factor
             rows.append(_batched_row("exp_vacuum", [(num, closed)], tol, exp_tail))
             continue
-        closed = compiled.exp_element_state_operator(lam, zs, l, lam_guard) * vac_factor
+        closed = exp_element_state_operator(pair, lam, zs, l, lam_guard) * vac_factor
         rows.append(_batched_row(f"exp_state_operator_l{l}", [(num, closed)], tol, exp_tail))
-        printed = [(num, compiled.exp_element_state(lam, zs, l, lam_guard) * vac_factor)]
+        printed = [(num, exp_element_state(pair, lam, zs, l, lam_guard) * vac_factor)]
         rows.append(
             _adjudicated_row(f"adjudication:exp_state_printed_l{l}", printed, tol, exp_tail)
         )
@@ -712,7 +693,9 @@ def fock_verify(
     if maps is not None:
         closed = exp_element_coherent_closed(maps, z, zp, lam)
     else:
-        closed, estimate = compiled.exp_element_coherent(z, zp, lam, lam_guard, z_guard)
+        closed, estimate = exp_element_coherent(
+            pair, z, zp, lam, lam_guard=lam_guard, z_guard=z_guard
+        )
         if estimate > tol:
             raise GuardExceeded(
                 f"coherent series estimate {estimate:.3g} above tolerance {tol:.3g}"
@@ -720,7 +703,7 @@ def fock_verify(
     rows.append(_batched_row("exp_coherent", [(num, closed)], tol, max(tail, exp_tail)))
 
     # recentring identity: exp(-z' adag) M exp(z' adag) = M(a + z', adag)
-    shifted = compiled.shifted_m_image(space, zp)
+    shifted = space.pair_matrix(pair, zp)
     plus = space.exp_adag(zp)
     minus = space.exp_adag(-zp)
     pairs = []

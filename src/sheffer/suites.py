@@ -22,9 +22,9 @@ from .fock import (
     CoherentParams,
     FockSpace,
     _one_blas_thread,
-    compile_pair,
     exp_element_coherent_closed,
     fock_verify,
+    mono_element,
     overlap,
 )
 from .multivar import (
@@ -64,7 +64,7 @@ def _tag(rows, **extra):
 
 
 def monomiality_rows(label: str, order: int = 16, depth: int = 12) -> list:
-    entry = family(label, order)
+    entry = family(label, max(order, depth + 2))
     return _tag(verify_monomiality(entry.pair, depth), family=label)
 
 
@@ -298,7 +298,7 @@ def _adjudication_rows(label, entry, params, cutoff, tol) -> list:
         # vacuum moments as multiples of <z|0>; with s_n = n!*L_n, the
         # alternative indexing n!*L_{n-1}(z*) equals n * s_{n-1}(z*)
         identity = "adjudication:vacuum_moment_indexing"
-        s = [compile_pair(entry.pair).mono_element(n, 0, z.conjugate()) for n in range(7)]
+        s = [mono_element(entry.pair, n, 0, z.conjugate()) for n in range(7)]
         vac = np.exp(-abs(z) ** 2 / 2)
         numeric, w = [], space.number_vec(0)
         for _ in range(6):
@@ -347,12 +347,12 @@ def _adjudication_rows(label, entry, params, cutoff, tol) -> list:
 
 
 def heat_rows(label: str, order: int = 16, depth: int = 8) -> list:
-    entry = family(label, order)
+    entry = family(label, max(order, depth))
     return _tag(_heat_rows(entry.pair, depth), family=label)
 
 
 def theta_pi_rows(label: str, order: int = 16, depth: int = 6) -> list:
-    entry = family(label, order)
+    entry = family(label, max(order, depth + 3))
     return _tag(theta_pi_check(entry.pair, depth), family=label)
 
 
@@ -361,7 +361,8 @@ def hkdf_global_rows(depth: int = 10, order: int = 16) -> list:
     for m in (1, 2, 3):
         rows.extend(_tag(hkdf_ladder_check(m, depth), family="all"))
         rows.extend(_tag(hkdf_egf_check(m, depth), family="all"))
-    trivial = ShefferPair(TruncatedSeries.x(order), TruncatedSeries.one(order))
+    top = max(order, depth)
+    trivial = ShefferPair(TruncatedSeries.x(top), TruncatedSeries.one(top))
     for n in range(depth + 1):
         rows.append(
             {"family": "all", "identity": "umbral_reduces_to_quadratic_hermite",

@@ -556,6 +556,36 @@ def test_matrix_element_overflow_is_a_guard_error(capsys, z):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("verify", "coherent", "--family", "laguerre", "--order", "170", "--draws", "1"),
+    ("matrix-element", "--family", "laguerre", "--z", "0.1", "--zp", "0.1",
+     "--lambda", "0.05", "--order", "170", "--fock-check"),
+), ids=" ".join)
+def test_exact_data_past_float_range_is_a_guard_error(capsys, argv):
+    # at order 170 laguerre's chains M^k x^l have coefficients past 1.8e308,
+    # so rounding them to complex overflows inside the closed forms
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
+_VERIFY_SUITES = ("monomiality", "commutator", "normal-order", "coherent", "heat", "hkdf",
+                  "evolution")
+
+
+@pytest.mark.parametrize("suite", _VERIFY_SUITES)
+def test_every_suite_raises_a_low_order_to_its_floor(capsys, suite):
+    # each suite builds its pairs at no less than the order its checks need,
+    # so a lower --order prints the default's bytes
+    argv = ("verify", suite, "--family", "hermite", "--draws", "1")
+    default = run_cli(capsys, *argv)
+    low = run_cli(capsys, *argv, "--order", "4")
+    assert default[0] == low[0] == 0
+    assert low[1] == default[1]
+
+
 def test_matrix_element_fock_check(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -579,6 +609,9 @@ GOLDEN_STDOUT = {
     ("verify", "heat", "--family", "laguerre"):
         "540a128b55e856d775c901f00e172d3147a59d5223badbf4f01c6c8e72a7d89c",
     ("verify", "hkdf", "--family", "bessel"):
+        "aba62b97c5b53543619f3458ceeb8dcd5292326dbabf5801a0f90561431a823b",
+    # below every suite's order floor: the same bytes as the default order
+    ("verify", "hkdf", "--family", "bessel", "--order", "4"):
         "aba62b97c5b53543619f3458ceeb8dcd5292326dbabf5801a0f90561431a823b",
     # recorded before the swap oracle was memoised and normal_order_lhs
     # became the X-linear right product

@@ -103,3 +103,36 @@ def test_no_module_imports_numpy_random(path):
     found += [node.attr for node in ast.walk(tree)
               if isinstance(node, ast.Attribute) and node.attr in ("random", "default_rng")]
     assert not found, f"{path.name} uses {found}"
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _decorator_name(node) -> str:
+    # lru_cache, lru_cache(maxsize=...), functools.lru_cache, functools.cache
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _annotation_name(node) -> str:
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "sheffer").glob("*.py")), ids=lambda p: p.name)
+def test_no_cache_is_keyed_by_a_pair(path):
+    # a cache keyed by a pair hashes it on every lookup and keeps dropped
+    # pairs alive; data derived from a pair lives in the pair's __dict__
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not _CACHES & {_decorator_name(d) for d in node.decorator_list}:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        if any(p is not None and p.annotation is not None
+               and _annotation_name(p.annotation) == "ShefferPair" for p in params):
+            found.append(node.name)
+    assert not found, f"{path.name}: {found} cache on a ShefferPair argument"

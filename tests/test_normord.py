@@ -308,19 +308,39 @@ def test_fock_verify_refuses_a_coherent_series_value_past_its_estimate():
 def test_fock_verify_evaluates_the_printed_moments_only_where_adjudicated(monkeypatch):
     # the printed rule is adjudicated at l = 1, 2 only: 6 moments each, none at l = 0
     calls = Counter()
-    original = fock.CompiledPair.mono_element
+    original = fock.mono_element
 
-    def counted(self, *args):
+    def counted(*args):
         calls["mono_element"] += 1
-        return original(self, *args)
+        return original(*args)
 
-    monkeypatch.setattr(fock.CompiledPair, "mono_element", counted)
+    monkeypatch.setattr(fock, "mono_element", counted)
     entry = family("bell", 16)
     params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
     rows = fock_verify(entry.pair, params, maps=entry.maps,
                        z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     assert rows_pass(rows)
     assert calls["mono_element"] == 12
+
+
+def test_fock_verify_hashes_no_pair(monkeypatch):
+    # the compiled data sits in the pair's own __dict__, so neither a cold
+    # nor a warm draw looks a pair up by its hash
+    hashes = []
+    original = ShefferPair.__hash__
+
+    def counted(self):
+        hashes.append(self.label)
+        return original(self)
+
+    monkeypatch.setattr(ShefferPair, "__hash__", counted)
+    family.cache_clear()  # a new catalog pair, so the first draw compiles it
+    entry = family("laguerre", 16)
+    params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
+    guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    for _ in range(2):
+        assert rows_pass(fock_verify(entry.pair, params, maps=entry.maps, **guards))
+    assert hashes == []
 
 
 def test_fock_space_builds_a_and_adag_on_first_read():
@@ -352,7 +372,6 @@ def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
         for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    compile_pair.cache_clear()
     _, estimate = exp_element_coherent(pair, params.z, params.zp, params.lam, **guards)
     assert estimate <= 1e-8
     assert not counts
@@ -1112,7 +1131,10 @@ def test_unshifted_image_is_the_matrix_horner_image_and_is_cached():
         assert not image.flags.writeable
         # a zero shift is the unshifted image; the complex shift path agrees there
         assert space.pair_matrix(pair, shift=0j) is image
-        np.testing.assert_array_equal(compile_pair(pair).shifted_m_image(space, 0j), image)
+        k_weights, hk_weights = compile_pair(pair)._ladder_shift_weights
+        powers = fock._powers(0j, len(k_weights))
+        shifted = space._ladder_image(k_weights @ powers, hk_weights @ powers)
+        np.testing.assert_array_equal(shifted, image)
 
 
 @pytest.mark.parametrize("dim", [2, 5, 33, 64])
@@ -1152,7 +1174,6 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
     for draws in (1, 10):
         # a new catalog pair, so each round builds the pair's core and compiled data
         family.cache_clear()
-        compile_pair.cache_clear()
         counts.clear()
         rows = coherent_rows(label, draws=draws)
         assert rows_pass(rows)

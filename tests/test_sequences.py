@@ -32,7 +32,7 @@ from sheffer import (
     verify_monomiality,
     verify_normal_order,
 )
-from sheffer.fock import FockSpace, compile_pair
+from sheffer.fock import CoherentParams, FockSpace, compile_pair, fock_verify
 from sheffer.suites import heat_rows, rows_pass, theta_pi_rows
 
 
@@ -301,11 +301,12 @@ def test_ladder_series_when_f_has_the_higher_order():
     k_ser, hk_ser = pair.ladder
     assert k_ser.order == hk_ser.order == pair.order - 1
     assert build_M(pair, 9) == _uncached_build_m(pair, 9)
-    assert compile_pair(pair).m_image(FockSpace(8)).shape == (8, 8)
+    assert FockSpace(8).pair_matrix(pair).shape == (8, 8)
 
 
 def test_built_core_leaves_equality_and_hash_alone():
-    # compile_pair memoizes on equality and hash, so the core must not enter them
+    # the core and the compiled Fock data sit in the instance __dict__, outside
+    # equality and hash, so an equal pair built anew builds its own
     pair = custom_pairs(9)[0]
     before = hash(pair)
     sequence_via_egf(pair, 9)
@@ -314,7 +315,8 @@ def test_built_core_leaves_equality_and_hash_alone():
     twin = fresh(pair)
     assert CORE.isdisjoint(vars(twin))
     assert pair == twin and hash(pair) == hash(twin) == before
-    assert compile_pair(twin) is compile_pair(pair)
+    assert compile_pair(twin) is not compile_pair(pair)
+    assert compile_pair(twin).pair is twin
 
 
 def test_a_dropped_pair_frees_its_core():
@@ -322,6 +324,16 @@ def test_a_dropped_pair_frees_its_core():
     sequence_via_egf(pair, 9)
     build_M(pair, 8)
     assert CORE <= set(vars(pair))
+    ref = weakref.ref(pair)
+    del pair
+    gc.collect()
+    assert ref() is None
+    # so does a pair whose Fock data fock_verify compiled
+    entry = family("hermite", 16)
+    pair = fresh(entry.pair)
+    rows = fock_verify(pair, CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05), maps=entry.maps,
+                       z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    assert rows_pass(rows) and "_compiled" in vars(pair)
     ref = weakref.ref(pair)
     del pair
     gc.collect()
