@@ -343,13 +343,13 @@ def oracle_polys(label: str, n_max: int) -> list:
     """Independent polynomial generation for comparison with the pair routes.
 
     Families without a classical recurrence/sum oracle (bessel, hahn) fall
-    back to the generating-function expansion at doubled truncation order.
+    back to the generating-function expansion, at the least order it needs.
     """
     record = _record(label)
     _check_degree(n_max, "n_max")
     if record.oracle is not None:
         return record.oracle(n_max)
-    return list(sequence_via_egf(family(label, 2 * n_max + 2).pair, n_max).polys)
+    return list(sequence_via_egf(family(label, max(n_max, 1)).pair, n_max).polys)
 
 
 def egf_eval(label: str, lam: complex, x: complex) -> complex:

@@ -14,11 +14,12 @@ malformed expression), 3 domain or guard error.
 
 Each subcommand takes the flags of the run settings it reads, and reads
 their SHEFFER_* environment variables when the flag is absent (a flag
-beats its variable): ``list`` and ``gen`` read ORDER and FORMAT,
-``normal-order`` ORDER, LAMBDA_ORDER, A_ORDER and FORMAT,
-``matrix-element`` ORDER and FORMAT, and CUTOFF and TOL with --fock-check,
-and ``verify`` all eight (those and DRAWS, SEED). A variable a subcommand
-does not read is ignored.
+beats its variable): ``list`` reads ORDER and FORMAT, ``gen`` FORMAT,
+``normal-order`` LAMBDA_ORDER, A_ORDER and FORMAT, ``matrix-element``
+FORMAT, and ORDER, CUTOFF and TOL with --fock-check, and ``verify`` all
+eight (those and DRAWS, SEED). A variable a subcommand does not read is
+ignored. Only the catalog dump, the Fock check and the coherent suite
+truncate at the order; every other path builds at the order it needs.
 """
 
 from __future__ import annotations
@@ -34,16 +35,9 @@ import time
 from dataclasses import dataclass, field
 
 from . import suites
-from .catalog import FAMILY_LABELS, family
-from .errors import DomainError, ParseError, ShefferError, UnknownFamily
-from .fock import (
-    MIN_CUTOFF,
-    CoherentParams,
-    check_coherent_guards,
-    exp_element_coherent_closed,
-    fock_verify,
-    overlap,
-)
+from .catalog import FAMILY_LABELS, _record, family
+from .errors import DomainError, ParseError, ShefferError, UnknownFamily, check_guard
+from .fock import MIN_CUTOFF, CoherentParams, exp_element_coherent_closed, fock_verify, overlap
 from .normord import normal_order_lhs
 from .sequences import ShefferPair, sequence_via_egf, sheffer_coeffs
 from .series import (
@@ -62,7 +56,16 @@ from .series import (
 # series-spec expression grammar
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "tan", "arctan", "inv")
+_FUNCTION_EVAL = {
+    "exp": exp_series,
+    "log": log_series,
+    "sqrt": sqrt_series,
+    "sin": sin_series,
+    "cos": cos_series,
+    "tan": tan_series,
+    "arctan": arctan_series,
+    "inv": lambda s: s.comp_inverse(),
+}
 
 
 @dataclass(frozen=True)
@@ -231,7 +234,7 @@ class _Parser:
         if kind == "IDENT":
             if text == "x":
                 return Var(pos), 1
-            if text in _FUNCTIONS:
+            if text in _FUNCTION_EVAL:
                 self.expect("(")
                 arg, depth = self.nested(pos)
                 self.expect(")")
@@ -264,18 +267,6 @@ def pretty(node) -> str:
     if isinstance(node, Call):
         return f"{node.func}({pretty(node.arg)})"
     raise TypeError(f"not an AST node: {node!r}")
-
-
-_FUNCTION_EVAL = {
-    "exp": exp_series,
-    "log": log_series,
-    "sqrt": sqrt_series,
-    "sin": sin_series,
-    "cos": cos_series,
-    "tan": tan_series,
-    "arctan": arctan_series,
-    "inv": lambda s: s.comp_inverse(),
-}
 
 
 def _eval_node(node, order: int) -> TruncatedSeries:
@@ -341,8 +332,8 @@ def parse_series(text: str, order: int) -> TruncatedSeries:
 
 _MAX_CUTOFF = 1024  # FockSpace holds dense cutoff x cutoff complex matrices: 16 MB at 1024
 # Largest series order, lambda order, a order and gen degree. Bit heights grow
-# with the order: ``gen --family hahn --order 512`` takes 2.2 s, 24 s at 1024
-# (two-core Xeon); 10^8 would allocate a 10^8-entry list before any arithmetic
+# with the order: ``list --order 512`` takes 1.7 s, ``gen --family hahn --n 512``
+# 21 s (two-core Xeon); 10^8 would allocate a 10^8-entry list before any arithmetic
 _MAX_ORDER = 512
 # Largest coherent-state draw count. Every row is held until the end:
 # ``verify coherent --draws 1000`` takes 23 s and peaks at 96 MB over the seven
@@ -505,7 +496,7 @@ def _cmd_gen(args) -> int:
     cfg = config_from(args)
     if not 0 <= args.n <= _MAX_ORDER:
         raise ValueError(f"--n must be in 0..{_MAX_ORDER}, got {args.n}")
-    pair = _resolve_pair(args, max(cfg.order, args.n))
+    pair = _resolve_pair(args, max(args.n, 1))
     label = args.family or "custom"
     seq = sequence_via_egf(pair, args.n)
     rows = []
@@ -526,17 +517,17 @@ def _no_rows(*_):
 # The all-family rows come first. The functions are looked up on ``suites``
 # when the suite runs, so a rebound module attribute (a tracer's) is called.
 _SUITES = {
-    "monomiality": (_no_rows, lambda label, cfg: suites.monomiality_rows(label, cfg.order)
-                    + suites.oracle_rows(label, cfg.order)),
+    "monomiality": (_no_rows, lambda label, cfg: suites.monomiality_rows(label)
+                    + suites.oracle_rows(label)),
     "commutator": (lambda cfg: suites.swap_oracle_rows(),
-                   lambda label, cfg: suites.commutator_family_rows(label, cfg.order)),
+                   lambda label, cfg: suites.commutator_family_rows(label)),
     "normal-order": (_no_rows, lambda label, cfg: suites.normal_order_rows(
-        label, cfg.order, cfg.lam_order, cfg.a_order)),
+        label, cfg.lam_order, cfg.a_order)),
     "coherent": (_no_rows, lambda label, cfg: suites.coherent_rows(
         label, cfg.order, cfg.cutoff, cfg.tol, cfg.draws, cfg.seed)),
-    "heat": (_no_rows, lambda label, cfg: suites.heat_rows(label, cfg.order)),
-    "hkdf": (lambda cfg: suites.hkdf_global_rows(order=cfg.order),
-             lambda label, cfg: suites.theta_pi_rows(label, cfg.order)),
+    "heat": (_no_rows, lambda label, cfg: suites.heat_rows(label)),
+    "hkdf": (lambda cfg: suites.hkdf_global_rows(),
+             lambda label, cfg: suites.theta_pi_rows(label)),
     "evolution": (lambda cfg: suites.evolution_rows(), _no_rows),
 }
 _SUITE_NAMES = tuple(_SUITES)
@@ -574,18 +565,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_normal_order(args) -> int:
     cfg = config_from(args)
-    pair = _resolve_pair(args, max(cfg.order, cfg.lam_order + cfg.a_order + 1))
+    pair = _resolve_pair(args, cfg.lam_order + cfg.a_order)
     series = normal_order_lhs(pair, cfg.lam_order, cfg.a_order)
     _emit(series.to_json_list(), cfg.fmt, columns=["adag", "a", "lambda_poly"])
     return 0
 
 
 def _cmd_matrix_element(args) -> int:
-    # only the Fock check reads the cutoff and the tolerance
-    cfg = config_from(args, unread=() if args.fock_check else ("cutoff", "tol"))
-    entry = family(args.family, cfg.order)
+    # only the Fock check reads the order, the cutoff and the tolerance; the
+    # closed value reads the family record's maps and guards alone
+    cfg = config_from(args, unread=() if args.fock_check else ("order", "cutoff", "tol"))
+    entry = family(args.family, cfg.order) if args.fock_check else _record(args.family)
     z, zp, lam = args.z, args.zp, args.lam
-    check_coherent_guards(zp, lam, entry.z_guard, entry.lam_guard)
+    check_guard("|z'|", entry.z_guard, zp)
+    check_guard("|lambda|", entry.lam_guard, lam)
     value = exp_element_coherent_closed(entry.maps, z, zp, lam)
     payload = {
         "family": args.family,
@@ -644,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True, help="highest degree")
     p_gen.add_argument("--coeffs", action="store_true",
                        help="include exact coefficient rows")
-    _add_settings(p_gen, "order", "fmt")
+    _add_settings(p_gen, "fmt")
     p_gen.set_defaults(handler=_cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
@@ -662,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_no.add_argument("--family", choices=FAMILY_LABELS)
     p_no.add_argument("--f")
     p_no.add_argument("--g")
-    _add_settings(p_no, "order", "lam_order", "a_order", "fmt")
+    _add_settings(p_no, "lam_order", "a_order", "fmt")
     p_no.set_defaults(handler=_cmd_normal_order)
 
     p_me = sub.add_parser("matrix-element",

@@ -10,9 +10,9 @@ first access. It provides:
   on Horner maps of the truncated f and g with finv by complex Newton
   (``exp_element_coherent``, whose error estimate is the same evaluation at
   three quarters of the order). One overflow contract (``_finite``) covers
-  every closed form: a division by zero, an overflow (rounding the pair's
-  exact data to complex too) or a value that is not finite raises
-  GuardExceeded;
+  every closed form and the image of M: a division by zero, an overflow
+  (rounding the pair's exact data to complex too) or a value that is not
+  finite raises GuardExceeded;
 * a numeric verifier on truncated Fock-space matrices (``fock_verify``).
 
 Everything the closed forms and the verifier need from a pair that does not
@@ -132,18 +132,16 @@ def _shift_weights(coeffs) -> np.ndarray:
     return out
 
 
-def check_coherent_guards(zp: complex, lam: complex, z_guard: float, lam_guard: float):
-    """Raise GuardExceeded when |z'| or |lambda| lies past its trust radius."""
-    check_guard("|z'|", z_guard, zp)
-    check_guard("|lambda|", lam_guard, lam)
-
-
 def _finite(what: str, compute, *args):
     """compute(*args); GuardExceeded naming ``what`` if it divides by zero,
-    overflows, or has a part (a SeriesValue's tail too) that is not finite."""
+    overflows, or has a part (a SeriesValue's tail, an image's entry too)
+    that is not finite."""
     try:
         out = compute(*args)
-        if all(map(cmath.isfinite, out if isinstance(out, tuple) else (out,))):
+        if isinstance(out, np.ndarray):
+            if np.isfinite(out).all():
+                return out
+        elif all(map(cmath.isfinite, out if isinstance(out, tuple) else (out,))):
             return out
     except (OverflowError, ZeroDivisionError):
         pass
@@ -344,7 +342,8 @@ def exp_element_coherent(
     that overflows raise GuardExceeded, as do |z'| and |lambda| past
     ``z_guard`` and ``lam_guard``.
     """
-    check_coherent_guards(zp, lam, z_guard, lam_guard)
+    check_guard("|z'|", z_guard, zp)
+    check_guard("|lambda|", lam_guard, lam)
     zp = complex(zp)
 
     def compute():
@@ -529,19 +528,24 @@ class FockSpace:
 
         The unshifted image is built once per pair and cutoff and returned
         read-only; a shifted one is built from the pair's Taylor-shift
-        weights at each call.
+        weights at each call. Both are rounded under ``_finite``.
         """
         compiled = compile_pair(pair)
         if shift is None or shift == 0:
             image = compiled.images.get(self.dim)
             if image is None:
-                image = self._ladder_image(*(ser.coeffs for ser in pair.ladder))
+                image = _finite("image of M", self._ladder_image,
+                                *(ser.coeffs for ser in pair.ladder))
                 image.setflags(write=False)
                 compiled.images[self.dim] = image
             return image
-        k_weights, hk_weights = compiled._ladder_shift_weights
-        powers = _powers(complex(shift), len(k_weights))
-        return self._ladder_image(k_weights @ powers, hk_weights @ powers)
+
+        def shifted():
+            k_weights, hk_weights = compiled._ladder_shift_weights
+            powers = _powers(complex(shift), len(k_weights))
+            return self._ladder_image(k_weights @ powers, hk_weights @ powers)
+
+        return _finite(f"image of M shifted by {shift}", shifted)
 
     def exp_adag(self, t: complex) -> np.ndarray:
         """Image of exp(t*adag): entry (n+j, n) is t^j sqrt((n+j)!/n!)/j!."""
@@ -635,7 +639,8 @@ def fock_verify(
         raise CutoffTooSmall(f"Fock cutoff must be >= {MIN_CUTOFF}")
     z, zp, lam = params.z, params.zp, params.lam
     check_guard("|z| and |z'|", 1.0, z, zp)
-    check_coherent_guards(zp, lam, z_guard, lam_guard)
+    check_guard("|z'|", z_guard, zp)
+    check_guard("|lambda|", lam_guard, lam)
 
     space = FockSpace(cutoff)
     z_vec, z_tail = space.coherent_vec(z)

@@ -63,14 +63,18 @@ def _tag(rows, **extra):
 # ---------------------------------------------------------------------------
 
 
-def monomiality_rows(label: str, order: int = 16, depth: int = 12) -> list:
-    entry = family(label, max(order, depth + 2))
+# least order of every suite's catalog pairs: one ``verify`` run shares one per family
+_LEAST_ORDER = 16
+
+
+def monomiality_rows(label: str, depth: int = 12) -> list:
+    entry = family(label, max(_LEAST_ORDER, depth + 2))
     return _tag(verify_monomiality(entry.pair, depth), family=label)
 
 
-def oracle_rows(label: str, order: int = 16, depth: int = 12) -> list:
+def oracle_rows(label: str, depth: int = 12) -> list:
     """Generated sequence against the family's independent oracle."""
-    entry = family(label, max(order, depth + 2))
+    entry = family(label, max(_LEAST_ORDER, depth + 2))
     seq = sequence_via_egf(entry.pair, depth)
     oracle = oracle_polys(label, depth)
     rows = []
@@ -129,11 +133,9 @@ def swap_oracle_rows(max_m: int = 6, max_n: int = 6) -> list:
     return rows
 
 
-def commutator_family_rows(
-    label: str, order: int = 16, depth: int = 8, k_order: int = 12
-) -> list:
+def commutator_family_rows(label: str, depth: int = 8, k_order: int = 12) -> list:
     """[P, M] acts as the identity on x^n for n <= depth."""
-    entry = family(label, max(order, k_order + 1))
+    entry = family(label, max(_LEAST_ORDER, k_order + 1))
     m_op = build_M(entry.pair, k_order)
     p_op = build_P(entry.pair, k_order)
     comm = p_op.commutator(m_op)
@@ -152,10 +154,8 @@ def commutator_family_rows(
 # ---------------------------------------------------------------------------
 
 
-def normal_order_rows(
-    label: str, order: int = 16, lam_order: int = 6, a_order: int = 8
-) -> list:
-    entry = family(label, max(order, lam_order + a_order + 1))
+def normal_order_rows(label: str, lam_order: int = 6, a_order: int = 8) -> list:
+    entry = family(label, max(_LEAST_ORDER, lam_order + a_order + 1))
     detail = verify_normal_order(entry.pair, lam_order, a_order)
     mismatches = [row for row in detail if not row["pass"]]
     return [
@@ -255,7 +255,7 @@ def coherent_rows(
     draws: int = 10,
     seed: int = 7,
 ) -> list:
-    entry = family(label, max(order, 16))
+    entry = family(label, max(order, _LEAST_ORDER))
     rng = _PCG64(seed + FAMILY_LABELS.index(label))
     rows = []
     first_params = None
@@ -346,22 +346,22 @@ def _adjudication_rows(label, entry, params, cutoff, tol) -> list:
 # ---------------------------------------------------------------------------
 
 
-def heat_rows(label: str, order: int = 16, depth: int = 8) -> list:
-    entry = family(label, max(order, depth))
+def heat_rows(label: str, depth: int = 8) -> list:
+    entry = family(label, max(_LEAST_ORDER, depth))
     return _tag(_heat_rows(entry.pair, depth), family=label)
 
 
-def theta_pi_rows(label: str, order: int = 16, depth: int = 6) -> list:
-    entry = family(label, max(order, depth + 3))
+def theta_pi_rows(label: str, depth: int = 6) -> list:
+    entry = family(label, max(_LEAST_ORDER, depth + 3))
     return _tag(theta_pi_check(entry.pair, depth), family=label)
 
 
-def hkdf_global_rows(depth: int = 10, order: int = 16) -> list:
+def hkdf_global_rows(depth: int = 10) -> list:
     rows = []
     for m in (1, 2, 3):
         rows.extend(_tag(hkdf_ladder_check(m, depth), family="all"))
         rows.extend(_tag(hkdf_egf_check(m, depth), family="all"))
-    top = max(order, depth)
+    top = max(_LEAST_ORDER, depth)
     trivial = ShefferPair(TruncatedSeries.x(top), TruncatedSeries.one(top))
     for n in range(depth + 1):
         rows.append(

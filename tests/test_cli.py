@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,11 +10,26 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from sheffer import DomainError, ParseError, TruncatedSeries, family, fock
+import conftest as strat
+from sheffer import (
+    FAMILY_LABELS,
+    DomainError,
+    ParseError,
+    ShefferPair,
+    TruncatedSeries,
+    family,
+    fock,
+    sequence_via_egf,
+    sheffer_coeffs,
+)
 from sheffer.cli import (
+    _FUNCTION_EVAL,
+    _SETTINGS,
+    _SUITE_NAMES,
     RunConfig,
     build_parser,
     config_from,
@@ -97,9 +113,7 @@ def test_pretty_round_trip(text):
 
 
 def _ast_trees():
-    import hypothesis.strategies as st
-
-    from sheffer.cli import _FUNCTIONS, BinOp, Call, Neg, Num, Pow, Var
+    from sheffer.cli import BinOp, Call, Neg, Num, Pow, Var
 
     leaves = st.one_of(st.integers(0, 99).map(Num), st.just(Var()))
 
@@ -110,7 +124,7 @@ def _ast_trees():
             ),
             children.map(Neg),
             st.tuples(children, st.integers(-3, 5)).map(lambda t: Pow(t[0], t[1])),
-            st.tuples(st.sampled_from(_FUNCTIONS), children).map(
+            st.tuples(st.sampled_from(list(_FUNCTION_EVAL)), children).map(
                 lambda t: Call(t[0], t[1])
             ),
         )
@@ -155,8 +169,8 @@ _MATRIX_ELEMENT = ("matrix-element", "--family", "hermite", "--z", "0.1", "--zp"
 # the setting flags each subcommand takes; every other setting flag is refused
 SUBCOMMAND_SETTINGS = {
     ("list",): {"--order", "--format"},
-    ("gen", "--family", "hermite", "--n", "2"): {"--order", "--format"},
-    ("normal-order", "--family", "bell"): {"--order", "--lambda-order", "--a-order", "--format"},
+    ("gen", "--family", "hermite", "--n", "2"): {"--format"},
+    ("normal-order", "--family", "bell"): {"--lambda-order", "--a-order", "--format"},
     _MATRIX_ELEMENT: {"--order", "--cutoff", "--tol", "--format"},
     ("verify",): {"--order", "--lambda-order", "--a-order", "--cutoff", "--tol", "--format",
                   "--draws", "--seed"},
@@ -232,7 +246,7 @@ def test_config_validation():
 @pytest.mark.parametrize(
     "argv",
     (
-        ("gen", "--family", "hermite", "--n", "3", "--order", "100000000"),
+        ("list", "--order", "100000000"),
         ("gen", "--family", "hermite", "--n", "100000000"),
         ("normal-order", "--family", "hermite", "--lambda-order", "100000000"),
         ("verify", "--lambda-order", "100000000"),
@@ -260,6 +274,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_in_process(*argv):
+    """(exit code, stdout, stderr) of ``main``, a usage error from the parser included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_gen_family_hermite(capsys):
@@ -422,7 +447,7 @@ def test_gen_negative_degree_exit_two(capsys):
 
 def test_bad_env_value_names_the_variable(capsys, monkeypatch):
     monkeypatch.setenv("SHEFFER_ORDER", "abc")
-    code, out, err = run_cli(capsys, "gen", "--family", "hermite", "--n", "2")
+    code, out, err = run_cli(capsys, "list")
     assert code == 2
     assert out == ""
     assert "SHEFFER_ORDER" in err
@@ -584,6 +609,193 @@ def test_every_suite_raises_a_low_order_to_its_floor(capsys, suite):
     low = run_cli(capsys, *argv, "--order", "4")
     assert default[0] == low[0] == 0
     assert low[1] == default[1]
+
+
+_DEFAULT_ORDER_RUNS = {
+    "gen": ("gen", "--family", "laguerre", "--n", "5", "--coeffs"),
+    "normal-order": ("normal-order", "--family", "bell", "--lambda-order", "2", "--a-order", "3"),
+    "matrix-element": _MATRIX_ELEMENT,
+}
+
+
+@pytest.mark.parametrize("argv", _DEFAULT_ORDER_RUNS.values(), ids=list(_DEFAULT_ORDER_RUNS))
+def test_a_command_whose_output_has_no_truncation_ignores_the_order_variable(
+    capsys, monkeypatch, argv
+):
+    default = run_cli(capsys, *argv)
+    monkeypatch.setenv("SHEFFER_ORDER", "abc")
+    assert run_cli(capsys, *argv) == default
+    assert default[0] == 0
+
+
+@pytest.mark.parametrize("argv", [("list",), ("verify", "evolution"),
+                                  (*_MATRIX_ELEMENT, "--fock-check")], ids=" ".join)
+def test_a_command_that_truncates_at_the_order_reads_its_variable(capsys, monkeypatch, argv):
+    monkeypatch.setenv("SHEFFER_ORDER", "abc")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SHEFFER_ORDER='abc'")
+
+
+@pytest.fixture
+def built_orders(monkeypatch):
+    """The orders of every catalog pair built, through each module that builds one."""
+    from sheffer import catalog, suites
+
+    orders = []
+    build = catalog.family
+
+    def recording(label, order=16):
+        orders.append(order)
+        return build(label, order)
+
+    monkeypatch.setattr(catalog, "family", recording)
+    monkeypatch.setattr(suites, "family", recording)
+    return orders
+
+
+@pytest.mark.parametrize("argv, top", [
+    (("verify", "monomiality"), 16),
+    (("verify", "commutator"), 16),
+    (("verify", "heat"), 16),
+    (("verify", "hkdf"), 16),
+    (("verify", "normal-order", "--lambda-order", "12", "--a-order", "16"), 29),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+def test_an_exact_suite_builds_at_the_order_its_checks_need(capsys, built_orders, argv, top):
+    default = run_cli(capsys, *argv)
+    high = run_cli(capsys, *argv, "--order", "128")
+    assert built_orders and max(built_orders) == top
+    assert high[:2] == default[:2]
+    assert default[0] == 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(st.sampled_from(FAMILY_LABELS), strat.sheffer_pairs(6)), st.integers(0, 8))
+def test_gen_rows_are_the_sequence_at_any_higher_order(source, n):
+    def spec(series):
+        return " + ".join(f"({c.numerator}/{c.denominator})*x^{k}"
+                          for k, c in enumerate(series.coeffs) if c)
+
+    def at(series, order):
+        return TruncatedSeries.from_coeffs(series.coeffs, order)
+
+    if isinstance(source, str):
+        argv = ("--family", source)
+        pair = family(source, n + 17).pair
+    else:
+        argv = ("--f", spec(source.f), "--g", spec(source.g))
+        pair = ShefferPair(at(source.f, n + 17), at(source.g, n + 17))
+    code, out, _ = run_in_process("gen", *argv, "--n", str(n), "--coeffs")
+    assert code == 0
+    seq = sequence_via_egf(pair, n)
+    assert [(row["poly"], row["coeffs"]) for row in json.loads(out)] == [
+        (str(seq.poly(k)), [str(c) for c in sheffer_coeffs(seq, k)]) for k in range(n + 1)
+    ]
+
+
+# -- the exit-code contract --------------------------------------------------------
+
+# text of each setting's value: valid ones, kept small, and ones RunConfig refuses
+_GOOD_SETTING = {
+    "order": st.integers(1, 20).map(str),
+    "lam_order": st.integers(1, 4).map(str),
+    "a_order": st.integers(1, 5).map(str),
+    "cutoff": st.integers(32, 64).map(str),
+    "tol": st.sampled_from(["1e-8", "1e-6", "0.5"]),
+    "fmt": st.sampled_from(["json", "csv"]),
+    "draws": st.integers(1, 2).map(str),
+    "seed": st.integers(0, 2**64).map(str),
+}
+_BAD_ORDERS = ("0", "-3", "513", "100000000")
+_BAD_SETTING = {
+    "order": _BAD_ORDERS, "lam_order": _BAD_ORDERS, "a_order": _BAD_ORDERS,
+    "cutoff": ("16", "1025"), "tol": ("0", "1", "nan", "inf"), "fmt": ("xml",),
+    "draws": ("0", "1001"), "seed": ("-1",),
+}
+_POINT = st.one_of(
+    st.complex_numbers(max_magnitude=1.2).map(lambda c: f"{c.real!r},{c.imag!r}"),
+    st.sampled_from(("2", "1e10,1e10", "1e308", "-1e-320", "nan", "0,inf", "1,2,3", "abc")),
+)
+
+
+def _subcommand_settings() -> dict:
+    """Each subcommand's setting names, read off the parser it builds."""
+    (subcommands,) = build_parser()._subparsers._group_actions
+    return {
+        name: [action.dest for action in sub._actions if action.dest in _SETTINGS]
+        for name, sub in subcommands.choices.items()
+    }
+
+
+def _settings(names, good_only: bool):
+    def value(name):
+        good = _GOOD_SETTING[name]
+        return good if good_only else st.one_of(good, st.sampled_from(_BAD_SETTING[name]))
+
+    return st.lists(st.sampled_from(names), unique=True).flatmap(
+        lambda chosen: st.tuples(*(value(name).map(
+            lambda text, flag=_SETTINGS[name][0]: f"{flag}={text}") for name in chosen))
+    ).map(list)
+
+
+def _expressions(depth: int = 3):
+    """Series-spec text over the whole grammar, nested at most ``depth`` levels."""
+    leaf = st.one_of(st.integers(0, 9).map(str), st.just("x"))
+    if not depth:
+        return leaf
+    inner = _expressions(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda text: f"-{text}"),
+        st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(list(_FUNCTION_EVAL)), inner).map(lambda t: f"{t[0]}({t[1]})"),
+    )
+
+
+_SOURCE = st.one_of(
+    st.sampled_from(FAMILY_LABELS).map(lambda label: ["--family", label]),
+    st.tuples(
+        st.one_of(st.sampled_from(("x", "log(1+x)", "x - x^2/2", "inv(x*exp(x))")), _expressions()),
+        st.one_of(st.sampled_from(("1", "exp(x)", "(1-x)^-2")), _expressions()),
+    ).map(lambda fg: [f"--f={fg[0]}", f"--g={fg[1]}"]),
+)
+
+
+def _argv(command: str, names: list):
+    # a value is written --flag=value, so that one starting with "-" is not read as a flag
+    flags = st.booleans().flatmap(lambda good: _settings(names, good or command == "verify"))
+    if command == "list":
+        head = st.just([])
+    elif command == "gen":
+        head = st.tuples(_SOURCE, st.integers(-1, 9), st.booleans()).map(
+            lambda t: [*t[0], f"--n={100_000_000 if t[1] == 9 else t[1]}",
+                       *(["--coeffs"] if t[2] else [])])
+    elif command == "normal-order":
+        head = _SOURCE
+    elif command == "matrix-element":
+        head = st.tuples(st.sampled_from(FAMILY_LABELS), _POINT, _POINT, _POINT,
+                         st.booleans()).map(
+            lambda t: ["--family", t[0], f"--z={t[1]}", f"--zp={t[2]}", f"--lambda={t[3]}",
+                       *(["--fock-check"] if t[4] else [])])
+    else:  # one suite on one family keeps a draw short
+        head = st.tuples(st.sampled_from(_SUITE_NAMES), st.sampled_from(FAMILY_LABELS)).map(
+            lambda t: [t[0], "--family", t[1]])
+    return st.tuples(head, flags).map(lambda t: [command, *t[0], *t[1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_subcommand_settings().items())).flatmap(lambda item: _argv(*item)))
+def test_every_command_keeps_the_exit_code_contract(argv):
+    # valid settings only for verify, whose exit 1 means a failed check
+    code, out, err = run_in_process(*argv)
+    assert code in ({0, 1, 3} if argv[0] == "verify" else {0, 2, 3})
+    errors = [line for line in err.splitlines() if "error:" in line]
+    if code in (2, 3):
+        assert out == ""
+        assert len(errors) == 1
+    else:
+        assert not errors
 
 
 def test_matrix_element_fock_check(capsys):

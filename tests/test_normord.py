@@ -305,6 +305,17 @@ def test_fock_verify_refuses_a_coherent_series_value_past_its_estimate():
         fock_verify(entry.pair, params, **guards)
 
 
+def test_fock_verify_refuses_a_ladder_past_float_range():
+    # k = 1/f' = 1/(1 + 2*10^400 x) has coefficients past 1.8e308, so neither
+    # the image of M nor its Taylor-shift weights round to float
+    x = TruncatedSeries.x(16)
+    pair = ShefferPair(x + (x * x).scale(10**400), TruncatedSeries.one(16))
+    with pytest.raises(GuardExceeded, match="image of M"):
+        fock_verify(pair, CoherentParams(0.1, 0.1, 0.01))
+    with pytest.raises(GuardExceeded, match="image of M"):
+        FockSpace(32).pair_matrix(pair, 0.1)
+
+
 def test_fock_verify_evaluates_the_printed_moments_only_where_adjudicated(monkeypatch):
     # the printed rule is adjudicated at l = 1, 2 only: 6 moments each, none at l = 0
     calls = Counter()
