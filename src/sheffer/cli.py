@@ -414,10 +414,97 @@ def config_from(args, unread=()) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+# ``json`` spells the floats that are not finite as JavaScript does
+_NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it, before its string escape."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _json_text(key, 0)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(value, level: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2, default=str)`` writes it ``level`` containers deep.
+
+    The rules are ``json``'s: its ASCII string escape, ``float.__repr__`` with
+    NaN and Infinity spelled as JavaScript does, int, float, bool and None keys
+    as strings, tuples as lists and ``str`` of anything else. The most common
+    types in a payload are tested first; bool must come before int.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NOT_FINITE.get(text, text)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = "\n" + "  " * (level + 1)
+        parts = [f"{_encode_str(_key_text(key))}: {_json_text(item, level + 1)}"
+                 for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * level + "}"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        parts = [_json_text(item, level + 1) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * level + "]"
+    return _encode_str(str(value))
+
+
+def _json_pieces(value, level: int = 0, prefix: str = ""):
+    """The text of ``value`` after ``prefix``, as ``_json_text`` writes it, in pieces.
+
+    The top-level container and each list directly inside it come one
+    element per piece, the element's separator and key leading it; anything
+    deeper is in its element's piece.
+    """
+    streamed = (list, tuple) if level else (list, tuple, dict)
+    if level > 1 or not isinstance(value, streamed) or not value:
+        yield prefix + _json_text(value, level)
+        return
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(value, dict):
+        items = ((f"{_encode_str(_key_text(key))}: ", item) for key, item in value.items())
+        opening, close = "{", "}"
+    else:
+        items = (("", item) for item in value)
+        opening, close = "[", "]"
+    separator = prefix + opening + inner
+    for head, item in items:
+        yield from _json_pieces(item, level + 1, separator + head)
+        separator = "," + inner
+    yield "\n" + "  " * level + close
+
+
 def _emit(payload, fmt: str, columns=None, out=None):
+    """Write ``payload`` to ``out`` (default stdout): JSON, or CSV under ``columns``.
+
+    The JSON text is ``json.dumps(payload, indent=2, default=str)`` and a
+    newline, written one row per ``write``: the payload and each list
+    directly inside it go out an element at a time (``_json_pieces``).
+    ``json.dump`` with an indent makes one ``write`` per token, in pure
+    Python, and a writer that builds the whole text first holds all of it at
+    once (a ``verify`` payload is about 0.7 MB), which raised the peak
+    resident set; a row at a time keeps both the calls and the memory small.
+    """
     out = out or sys.stdout
     if fmt == "json":
-        json.dump(payload, out, indent=2, default=str)
+        for piece in _json_pieces(payload):
+            out.write(piece)
         out.write("\n")
         return
     rows = payload if isinstance(payload, list) else [payload]
@@ -671,9 +758,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined(parser: argparse.ArgumentParser, argv: list) -> list:
+    """argv with each ``--flag value`` of a flag that takes a value as ``--flag=value``.
+
+    argparse reads a word that starts with "-" and is not a plain number as
+    a flag, so ``--zp -0.2,0.1`` or ``--f "-x"`` would lose its value.
+    Words after "--" are left as they are.
+    """
+    (subcommands,) = parser._subparsers._group_actions
+    sub = subcommands.choices.get(argv[0]) if argv else None
+    if sub is None:
+        return argv
+    takes_value = {flag for action in sub._actions if action.nargs is None
+                   for flag in action.option_strings}
+    joined, words = [], iter(argv)
+    for word in words:
+        if word == "--":
+            return [*joined, word, *words]
+        value = next(words, None) if word in takes_value else None
+        joined.append(word if value is None else f"{word}={value}")
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined(parser, sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.handler(args)
     except (ParseError, UnknownFamily) as exc:

@@ -20,17 +20,19 @@ depend on the coherent-state parameters sits in one ``CompiledPair``, which
 ``compile_pair`` keeps in the pair's instance ``__dict__`` beside its exact
 core, so no lookup hashes the pair and the data goes with it. Its parts are
 built on first use in exact arithmetic and rounded to complex: finv and
-1/g(finv), the sequence s_n, the chains M^k x^l from one raising operator
-at the top usable degree, the exact k = 1/f' and h*k with binomial-weighted
-matrices for their Taylor shift, the truncated f, f' and g of the coherent
-series route, and the image of M for each Fock cutoff. The exact series
+1/g(finv), the sequence s_n, the chains M^k x^l (for l = 0 the sequence
+itself, since M^k 1 = s_k; for l >= 1 from one raising operator at the top
+usable degree), the exact k = 1/f' and h*k with binomial-weighted matrices
+for their Taylor shift, the truncated f, f' and g of the coherent series
+route, and, for each Fock cutoff, the image of M and the moment vectors
+M^n|l> of ``fock_verify``. The exact series
 among these are read from the pair's own cached properties
 (``ShefferPair.finv``, ``.prefactor`` and ``.ladder``), which
 ``sheffer.normord`` reads too. Each closed form is one module function over
 these parts, and ``FockSpace.pair_matrix`` is the one way to the image of
-M. A verifier draw then runs on floating point alone: Horner sums, numpy
-products, and the recentred image of M as one matrix-vector product with
-the powers of z'.
+M. A verifier draw then runs on floating point alone: Horner sums, inner
+products of its bra with the cached moment vectors, numpy products, and the
+recentred image of M as one matrix-vector product with the powers of z'.
 ``FockSpace`` builds the images of a-series and exp(t*adag) entrywise from
 the factors sqrt((i+m)!/i!) instead of matrix products.
 
@@ -70,7 +72,7 @@ import numpy as np
 
 from .catalog import ClosedMaps
 from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded, check_guard
-from .series import Polynomial, SeriesValue
+from .series import Polynomial, SeriesValue, _common_denominator
 from .sequences import ShefferPair, build_M, sequence_via_egf
 from .weyl import WeylElement
 
@@ -122,13 +124,16 @@ def _norm(v: np.ndarray) -> float:
 def _shift_weights(coeffs) -> np.ndarray:
     """Row j, column p: C(j+p, j) c_{j+p}, rounded once from the exact product.
 
-    The coefficients of c(x + t) are this matrix times (t^p)_p.
+    The coefficients of c(x + t) are this matrix times (t^p)_p. Each entry
+    is one true division of integers over the coefficients' common
+    denominator, which rounds once, as ``float(Fraction)`` does, and raises
+    the same OverflowError past the float range.
     """
-    size = len(coeffs)
+    nums, den = _common_denominator(coeffs)
+    size = len(nums)
     out = np.zeros((size, size))
     for j in range(size):
-        for p in range(size - j):
-            out[j, p] = coeffs[j + p] * comb(j + p, j)
+        out[j, : size - j] = [nums[j + p] * comb(j + p, j) / den for p in range(size - j)]
     return out
 
 
@@ -187,8 +192,11 @@ class CompiledPair:
     series come from the pair's cached ``finv``, ``prefactor`` and
     ``ladder``, so they are built once per pair object. A Horner sum over
     the rounded coefficients gives the same bits as Horner evaluation of
-    the exact polynomial at a complex point. ``images`` holds the image of
-    M per Fock cutoff, which ``FockSpace.pair_matrix`` fills.
+    the exact polynomial at a complex point. The chain M^k 1 is read from
+    the sequence: by the monomiality principle it is s_k. Per Fock cutoff,
+    ``images`` holds the image of M, which ``FockSpace.pair_matrix`` fills,
+    and ``moments`` the vectors M^n|l> that ``fock_verify`` checks, which
+    ``FockSpace.pair_moments`` fills.
     """
 
     def __init__(self, pair: ShefferPair):
@@ -196,6 +204,7 @@ class CompiledPair:
         self.order = pair.order
         self._chains: dict = {}
         self.images: dict = {}
+        self.moments: dict = {}
 
     @cached_property
     def _vacuum(self):
@@ -213,9 +222,11 @@ class CompiledPair:
         return build_M(self.pair, self.order - 1)
 
     def _chain(self, l: int) -> list:
-        """Rounded M^k x^l for k = 0 .. order-1-l."""
+        """Rounded M^k x^l for k = 0 .. order-1-l; M^k 1 is s_k (monomiality)."""
         if l < 0:
             raise IndexOutOfRange(f"number state |{l}> does not exist")
+        if l == 0:
+            return self._sequence[: self.order]
         chain = self._chains.get(l)
         if chain is None:
             poly = Polynomial.monomial(l)
@@ -434,6 +445,10 @@ class _OneThreadScopes:
 _one_blas_thread = _OneThreadScopes().scope
 
 
+_MOMENTS_MAX = 6  # fock_verify checks <z|M^n|l> for n = 1.._MOMENTS_MAX
+_L_MAX = 2  # and the number states |l> for l = 0.._L_MAX
+
+
 @lru_cache(maxsize=8)
 def _exp_adag_table(dim: int):
     """sqrt((n+j)!/n!)/j! at entry (n+j, n), and j there; zero above the diagonal."""
@@ -547,6 +562,27 @@ class FockSpace:
 
         return _finite(f"image of M shifted by {shift}", shifted)
 
+    def pair_moments(self, pair: ShefferPair) -> tuple:
+        """M^n|l> for l = 0.._L_MAX (outer) and n = 1.._MOMENTS_MAX, read-only.
+
+        Built from the image of M once per pair and cutoff; a draw takes
+        only their inner products with its bra.
+        """
+        compiled = compile_pair(pair)
+        moments = compiled.moments.get(self.dim)
+        if moments is None:
+            m_mat = self.pair_matrix(pair)
+            moments = []
+            for l in range(_L_MAX + 1):
+                w, ladder = self.number_vec(l), []
+                for _ in range(_MOMENTS_MAX):
+                    w = m_mat @ w
+                    w.setflags(write=False)
+                    ladder.append(w)
+                moments.append(tuple(ladder))
+            moments = compiled.moments[self.dim] = tuple(moments)
+        return moments
+
     def exp_adag(self, t: complex) -> np.ndarray:
         """Image of exp(t*adag): entry (n+j, n) is t^j sqrt((n+j)!/n!)/j!."""
         table, power_index = _exp_adag_table(self.dim)
@@ -611,8 +647,6 @@ def _adjudicated_row(identity: str, pairs, tol: float, tail: float) -> dict:
 
 
 MIN_CUTOFF = 32  # smallest Fock cutoff that fock_verify and the CLI's --cutoff accept
-_MOMENTS_MAX = 6  # fock_verify checks <z|M^n|l> for n = 1.._MOMENTS_MAX
-_L_MAX = 2  # and the number states |l> for l = 0.._L_MAX
 
 
 @_one_blas_thread()
@@ -658,12 +692,10 @@ def fock_verify(
     rows.append(_batched_row("overlap", [(num, overlap(z, zp))], tol, tail))
 
     # <z|M^n|l> for l = 0 (printed form is exact here) and l >= 1 (operator route)
-    for l in range(0, _L_MAX + 1):
+    for l, ladder in enumerate(space.pair_moments(pair)):
         vals = []
         printed = []
-        w = space.number_vec(l)
-        for n in range(1, _MOMENTS_MAX + 1):
-            w = m_mat @ w
+        for n, w in enumerate(ladder, 1):
             num = complex(np.vdot(z_vec, w))
             closed = mono_element_operator(pair, n, l, zs) * vac_factor
             vals.append((num, closed))

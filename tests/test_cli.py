@@ -31,6 +31,7 @@ from sheffer.cli import (
     _SETTINGS,
     _SUITE_NAMES,
     RunConfig,
+    _emit,
     build_parser,
     config_from,
     main,
@@ -727,15 +728,20 @@ def _subcommand_settings() -> dict:
     }
 
 
+def _flag(flag: str, values):
+    """``flag`` and a value drawn from ``values``, written ``--flag=value`` or as two words."""
+    return st.tuples(values, st.booleans()).map(
+        lambda t: [f"{flag}={t[0]}"] if t[1] else [flag, t[0]])
+
+
 def _settings(names, good_only: bool):
     def value(name):
         good = _GOOD_SETTING[name]
         return good if good_only else st.one_of(good, st.sampled_from(_BAD_SETTING[name]))
 
     return st.lists(st.sampled_from(names), unique=True).flatmap(
-        lambda chosen: st.tuples(*(value(name).map(
-            lambda text, flag=_SETTINGS[name][0]: f"{flag}={text}") for name in chosen))
-    ).map(list)
+        lambda chosen: st.tuples(*(_flag(_SETTINGS[name][0], value(name)) for name in chosen))
+    ).map(lambda words: [word for pair in words for word in pair])
 
 
 def _expressions(depth: int = 3):
@@ -756,27 +762,28 @@ def _expressions(depth: int = 3):
 _SOURCE = st.one_of(
     st.sampled_from(FAMILY_LABELS).map(lambda label: ["--family", label]),
     st.tuples(
-        st.one_of(st.sampled_from(("x", "log(1+x)", "x - x^2/2", "inv(x*exp(x))")), _expressions()),
-        st.one_of(st.sampled_from(("1", "exp(x)", "(1-x)^-2")), _expressions()),
-    ).map(lambda fg: [f"--f={fg[0]}", f"--g={fg[1]}"]),
+        _flag("--f", st.one_of(
+            st.sampled_from(("x", "log(1+x)", "x - x^2/2", "inv(x*exp(x))")), _expressions())),
+        _flag("--g", st.one_of(st.sampled_from(("1", "exp(x)", "(1-x)^-2")), _expressions())),
+    ).map(lambda fg: [*fg[0], *fg[1]]),
 )
 
 
 def _argv(command: str, names: list):
-    # a value is written --flag=value, so that one starting with "-" is not read as a flag
+    # a value is written --flag=value or as its own word, also one starting with "-"
     flags = st.booleans().flatmap(lambda good: _settings(names, good or command == "verify"))
     if command == "list":
         head = st.just([])
     elif command == "gen":
-        head = st.tuples(_SOURCE, st.integers(-1, 9), st.booleans()).map(
-            lambda t: [*t[0], f"--n={100_000_000 if t[1] == 9 else t[1]}",
-                       *(["--coeffs"] if t[2] else [])])
+        degree = st.integers(-1, 9).map(lambda n: str(100_000_000 if n == 9 else n))
+        head = st.tuples(_SOURCE, _flag("--n", degree), st.booleans()).map(
+            lambda t: [*t[0], *t[1], *(["--coeffs"] if t[2] else [])])
     elif command == "normal-order":
         head = _SOURCE
     elif command == "matrix-element":
-        head = st.tuples(st.sampled_from(FAMILY_LABELS), _POINT, _POINT, _POINT,
-                         st.booleans()).map(
-            lambda t: ["--family", t[0], f"--z={t[1]}", f"--zp={t[2]}", f"--lambda={t[3]}",
+        head = st.tuples(st.sampled_from(FAMILY_LABELS), _flag("--z", _POINT),
+                         _flag("--zp", _POINT), _flag("--lambda", _POINT), st.booleans()).map(
+            lambda t: ["--family", t[0], *t[1], *t[2], *t[3],
                        *(["--fock-check"] if t[4] else [])])
     else:  # one suite on one family keeps a draw short
         head = st.tuples(st.sampled_from(_SUITE_NAMES), st.sampled_from(FAMILY_LABELS)).map(
@@ -796,6 +803,29 @@ def test_every_command_keeps_the_exit_code_contract(argv):
         assert len(errors) == 1
     else:
         assert not errors
+
+
+def test_a_value_that_starts_with_a_minus_sign_is_the_flags_value(capsys):
+    # argparse alone reads "-0.2,0.1" and "-x" as flags and leaves --zp and --f without a value
+    code, out, err = run_cli(capsys, "matrix-element", "--family", "hermite", "--z", "0.1",
+                             "--zp", "-0.2,0.1", "--lambda", "0.05")
+    assert code == 0, err
+    assert json.loads(out)["zp"] == [-0.2, 0.1]
+    code, out, err = run_cli(capsys, "gen", "--f", "-x", "--g", "1", "--n", "2")
+    assert code == 0, err
+    assert [row["poly"] for row in json.loads(out)] == ["1", "-x", "x^2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "coherent", "--family", "hahn", "--tol", "0.5", "--draws", "1"),
+    ("verify", "coherent", "--family", "laguerre", "--tol=0.5", "--seed=403584"),
+], ids=" ".join)
+def test_the_adjudication_does_not_hang_on_the_tolerance(capsys, argv):
+    # at --tol 0.5 both printed variants lie within the tolerance of the Fock value
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    (row,) = [row for row in json.loads(out)["rows"] if "decision" in row]
+    assert row["decision"] in ("arctan_lambda_plus_tan", "n_factorial_L_n")
 
 
 def test_matrix_element_fock_check(capsys):
@@ -876,6 +906,9 @@ GOLDEN_STDOUT = {
     # takes two 32-bit words
     ("verify", "coherent", "--family", "bell", "--seed", "4294967296", "--draws", "3"):
         "bba28af8f79ab223abdc5056529fa32313f9867453d513178d0f0fb19ac6cd8d",
+    # recorded while json.dump wrote the JSON: all seven suites, the largest payload
+    ("verify", "--seed", "7"):
+        "0bab58423a863e33a2b60b6109e989d39c35d56f9064b32f3a647988d8b23c27",
 }
 
 
@@ -884,6 +917,74 @@ def test_stdout_bytes_are_pinned(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[argv]
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+_JSON_LEAVES = st.one_of(
+    st.text(),  # non-ASCII and control characters included
+    st.integers(),
+    st.integers(-(10**40), 10**40),
+    st.floats(),  # nan and the infinities included
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan")]),
+    st.booleans(),
+    st.none(),
+    st.fractions(),  # these two go through default=str
+    st.complex_numbers(),
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    _emit(payload, "json", out=out)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_the_json_writer_writes_what_json_writes(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2, default=str) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{(1, 2): 3}, [{"a": {(): 0}}]], ids=repr)
+def test_the_json_writer_refuses_a_key_json_refuses(payload):
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        json.dumps(payload, indent=2, default=str)
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+        _emitted(payload)
+
+
+class _CountedWrites(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_the_json_writer_streams_a_row_at_a_time():
+    # a writer that builds the whole text first raised the peak resident set
+    out = _CountedWrites()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["verify", "coherent", "--draws", "2"]) == 0
+    rows = json.loads(out.getvalue())["rows"]
+    # a row's text in the payload: its separator, then the row two levels deep
+    longest = max(len(",\n    " + json.dumps(row, indent=2).replace("\n", "\n    "))
+                  for row in rows)
+    assert len(out.sizes) > len(rows) > 1
+    assert max(out.sizes) <= longest
 
 
 def test_blas_thread_count_changes_no_stdout_byte():

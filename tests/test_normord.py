@@ -1211,3 +1211,95 @@ def test_compiled_closed_forms_reject_negative_indices():
         exp_element_state_operator(pair, 0.05, 0.1, -1)
     with pytest.raises(IndexError):
         exp_element_state(pair, 0.05, 0.1, -1)
+
+
+# -- draw-independent Fock data, built once per pair ---------------------------------
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_the_vacuum_chain_is_the_sequence(label, monkeypatch):
+    # monomiality: M^k 1 = s_k, so the chain at l = 0 needs no raising operator
+    entry = family(label, 16)
+    compiled = compile_pair(ShefferPair(entry.pair.f, entry.pair.g))
+    applied = []
+    original = WeylElement.apply
+    monkeypatch.setattr(WeylElement, "apply", lambda *args: applied.append(1) or original(*args))
+    chain = compiled._chain(0)
+    assert applied == []
+    assert chain == compiled._sequence[: compiled.order]
+    # the chain M^k 1 the raising operator gives, rounded
+    poly, ref = Polynomial.monomial(0), []
+    for _ in range(compiled.order):
+        ref.append([complex(c) for c in poly.coeffs])
+        poly = original(compiled._raising, poly)
+    assert chain == ref
+
+
+def ref_shift_weights(coeffs):
+    """The Fraction loop the integer-numerator weights replaced."""
+    size = len(coeffs)
+    out = np.zeros((size, size))
+    for j in range(size):
+        for p in range(size - j):
+            out[j, p] = coeffs[j + p] * comb(j + p, j)
+    return out
+
+
+def _same_shift_weights(pair):
+    for ser in pair.ladder:
+        ref = ref_shift_weights(ser.coeffs)
+        assert fock._shift_weights(ser.coeffs).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_shift_weights_are_the_fraction_loops_bit_for_bit(label):
+    _same_shift_weights(family(label, 16).pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strat.sheffer_pairs())
+def test_shift_weights_are_the_fraction_loops_bit_for_bit_on_random_pairs(pair):
+    _same_shift_weights(pair)
+
+
+def test_shift_weights_past_float_range_raise_as_the_fraction_loop_does():
+    coeffs = [F(1, 3), F(10**400, 7)]
+    with pytest.raises(OverflowError):
+        ref_shift_weights(coeffs)
+    with pytest.raises(OverflowError):
+        fock._shift_weights(coeffs)
+    # and through the shifted image: GuardExceeded, not a bare OverflowError
+    x = TruncatedSeries.x(16)
+    pair = ShefferPair(x + (x * x).scale(10**400), TruncatedSeries.one(16))
+    with pytest.raises(GuardExceeded, match="image of M shifted"):
+        FockSpace(32).pair_matrix(pair, 0.1)
+
+
+class _CountedImage(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
+def test_a_second_draw_reuses_the_moment_vectors(monkeypatch):
+    # M^n|l> for n = 1..6, l = 0..2 is built once per pair and cutoff, so the
+    # same draw again makes all of its image products but those 18
+    original = FockSpace.pair_matrix
+    monkeypatch.setattr(FockSpace, "pair_matrix", lambda self, pair, shift=None: (
+        original(self, pair, shift).view(_CountedImage)))
+    entry = family("laguerre", 16)
+    pair = ShefferPair(entry.pair.f, entry.pair.g)
+    params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
+    guards = dict(maps=entry.maps, z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    runs = []
+    for _ in range(2):
+        _CountedImage.products = 0
+        runs.append((fock_verify(pair, params, **guards), _CountedImage.products))
+    (first, first_products), (second, second_products) = runs
+    assert second == first
+    assert first_products - second_products == 18
+    assert set(compile_pair(pair).moments) == {64}
+    for ladder in compile_pair(pair).moments[64]:
+        assert len(ladder) == 6 and not any(w.flags.writeable for w in ladder)
