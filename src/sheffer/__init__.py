@@ -43,7 +43,6 @@ from .sequences import (
     sequence_via_egf,
     sequence_via_raising,
     sheffer_coeffs,
-    shift_pair,
     verify_monomiality,
 )
 from .catalog import FAMILY_LABELS, FamilyEntry, egf_eval, family, oracle_polys

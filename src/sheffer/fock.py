@@ -475,14 +475,6 @@ class FockSpace:
         self.dim = dim
         self._roots = np.sqrt(np.arange(2 * dim, dtype=float))
 
-    @cached_property  # dense a and adag are built on first read: a draw reads neither
-    def a(self) -> np.ndarray:
-        return np.diag(self._roots[1 : self.dim], k=1).astype(complex)
-
-    @cached_property
-    def adag(self) -> np.ndarray:
-        return np.diag(self._roots[1 : self.dim], k=-1).astype(complex)
-
     def number_vec(self, l: int) -> np.ndarray:
         if l >= self.dim:
             raise CutoffTooSmall(f"|{l}> outside cutoff {self.dim}")
@@ -528,14 +520,6 @@ class FockSpace:
         out = np.zeros_like(k_image)
         out[1:] = self._roots[1 : self.dim, None] * k_image[:-1]
         out -= self.series_on_a(hk_coeffs)
-        return out
-
-    def weyl_matrix(self, element: WeylElement) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for (i, j), c in element.terms.items():
-            out += complex(c) * (
-                np.linalg.matrix_power(self.adag, i) @ np.linalg.matrix_power(self.a, j)
-            )
         return out
 
     def pair_matrix(self, pair: ShefferPair, shift: complex | None = None) -> np.ndarray:

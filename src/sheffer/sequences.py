@@ -31,17 +31,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, perm
+from math import gcd, perm
 
 from .errors import IndexOutOfRange, NotInvertible, OrderExceeded, ZeroConstantTerm
-from .series import (
-    Polynomial,
-    RationalLike,
-    TruncatedSeries,
-    _common_denominator,
-    _iconv,
-    as_fraction,
-)
+from .series import Polynomial, TruncatedSeries, _common_denominator, _iconv
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
@@ -106,9 +99,6 @@ class ShefferSequence:
 
     polys: tuple
     pair: ShefferPair
-
-    def __len__(self):
-        return len(self.polys)
 
     def poly(self, n: int) -> Polynomial:
         if not 0 <= n < len(self.polys):
@@ -223,38 +213,3 @@ def verify_monomiality(pair: ShefferPair, n_max: int) -> list:
             {"identity": "route_equivalence", "n": n, "pass": seq.poly(n) == via_m.poly(n)}
         )
     return rows
-
-
-def taylor_shift(coeffs, t: Fraction) -> list:
-    """Exact coefficient list of p(x + t), for the coefficient list of p."""
-    n = len(coeffs) - 1
-    powers = [Fraction(1)]
-    for _ in range(n):
-        powers.append(powers[-1] * t)
-    out = []
-    for k in range(n + 1):
-        acc = _ZERO
-        for m in range(k, n + 1):
-            if coeffs[m]:
-                acc += coeffs[m] * comb(m, k) * powers[m - k]
-        out.append(acc)
-    return out
-
-
-def shift_pair(pair: ShefferPair, t: RationalLike) -> ShefferPair:
-    """Recentred pair: f~(x) = f(x+t) - f(t), g~(x) = g(x+t)/g(t).
-
-    Exact shift of the stored truncated data (the polynomial truncations
-    of f and g, not their analytic continuations), so for nonzero t the
-    result approximates the recentred functions with the usual truncation
-    tail. Requires f'(t) != 0 and g(t) != 0 on the truncated data.
-    """
-    t = as_fraction(t)
-    f_shift = taylor_shift(pair.f.coeffs, t)
-    f_shift[0] = _ZERO
-    g_shift = taylor_shift(pair.g.coeffs, t)
-    if not g_shift[0]:
-        raise ZeroConstantTerm(f"g({t}) = 0: shift not admissible")
-    new_f = TruncatedSeries.from_coeffs(f_shift, pair.f.order)
-    new_g = TruncatedSeries.from_coeffs(g_shift, pair.g.order)
-    return ShefferPair(new_f, new_g, label=pair.label)

@@ -441,17 +441,6 @@ class TruncatedSeries:
         tail = abs(complex(self.coeffs[-1])) * abs(z) ** self.order
         return SeriesValue(acc, tail)
 
-    # -- serialization -------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {"order": self.order, "coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "TruncatedSeries":
-        return TruncatedSeries.from_coeffs(
-            [Fraction(s) for s in data["coeffs"]], data["order"]
-        )
-
     def __str__(self):
         return f"series(order={self.order}, {list(map(str, self.coeffs))})"
 

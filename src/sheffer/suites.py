@@ -63,22 +63,23 @@ def _tag(rows, **extra):
 # ---------------------------------------------------------------------------
 
 
-# least order of every suite's catalog pairs: one ``verify`` run shares one per family
+# least order of every suite's catalog pairs: one ``verify`` run shares one per
+# family, and it covers what each fixed-depth suite needs (14 at most)
 _LEAST_ORDER = 16
 
 
-def monomiality_rows(label: str, depth: int = 12) -> list:
-    entry = family(label, max(_LEAST_ORDER, depth + 2))
-    return _tag(verify_monomiality(entry.pair, depth), family=label)
+def monomiality_rows(label: str) -> list:
+    entry = family(label, _LEAST_ORDER)
+    return _tag(verify_monomiality(entry.pair, 12), family=label)
 
 
-def oracle_rows(label: str, depth: int = 12) -> list:
+def oracle_rows(label: str) -> list:
     """Generated sequence against the family's independent oracle."""
-    entry = family(label, max(_LEAST_ORDER, depth + 2))
-    seq = sequence_via_egf(entry.pair, depth)
-    oracle = oracle_polys(label, depth)
+    entry = family(label, _LEAST_ORDER)
+    seq = sequence_via_egf(entry.pair, 12)
+    oracle = oracle_polys(label, 12)
     rows = []
-    for n in range(depth + 1):
+    for n in range(13):
         rows.append(
             {"family": label, "identity": "oracle_match", "n": n,
              "pass": seq.poly(n) == oracle[n]}
@@ -120,11 +121,11 @@ def _swap_normal_form(word: str, memo: dict) -> dict:
     return form
 
 
-def swap_oracle_rows(max_m: int = 6, max_n: int = 6) -> list:
+def swap_oracle_rows() -> list:
     rows = []
     memo: dict = {}
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
+    for m in range(7):
+        for n in range(7):
             closed = weyl_mul(WeylElement.monomial(0, m), WeylElement.monomial(n, 0))
             rows.append(
                 {"family": "all", "identity": "reorder_closed_vs_swaps",
@@ -133,14 +134,14 @@ def swap_oracle_rows(max_m: int = 6, max_n: int = 6) -> list:
     return rows
 
 
-def commutator_family_rows(label: str, depth: int = 8, k_order: int = 12) -> list:
-    """[P, M] acts as the identity on x^n for n <= depth."""
-    entry = family(label, max(_LEAST_ORDER, k_order + 1))
-    m_op = build_M(entry.pair, k_order)
-    p_op = build_P(entry.pair, k_order)
+def commutator_family_rows(label: str) -> list:
+    """[P, M] acts as the identity on x^n for n <= 8."""
+    entry = family(label, _LEAST_ORDER)
+    m_op = build_M(entry.pair, 12)
+    p_op = build_P(entry.pair, 12)
     comm = p_op.commutator(m_op)
     rows = []
-    for n in range(depth + 1):
+    for n in range(9):
         mono = Polynomial.monomial(n)
         rows.append(
             {"family": label, "identity": "pm_commutator_identity", "n": n,
@@ -154,7 +155,7 @@ def commutator_family_rows(label: str, depth: int = 8, k_order: int = 12) -> lis
 # ---------------------------------------------------------------------------
 
 
-def normal_order_rows(label: str, lam_order: int = 6, a_order: int = 8) -> list:
+def normal_order_rows(label: str, lam_order: int, a_order: int) -> list:
     entry = family(label, max(_LEAST_ORDER, lam_order + a_order + 1))
     detail = verify_normal_order(entry.pair, lam_order, a_order)
     mismatches = [row for row in detail if not row["pass"]]
@@ -354,24 +355,23 @@ def _adjudication_rows(label, entry, params, cutoff) -> list:
 # ---------------------------------------------------------------------------
 
 
-def heat_rows(label: str, depth: int = 8) -> list:
-    entry = family(label, max(_LEAST_ORDER, depth))
-    return _tag(_heat_rows(entry.pair, depth), family=label)
+def heat_rows(label: str) -> list:
+    entry = family(label, _LEAST_ORDER)
+    return _tag(_heat_rows(entry.pair, 8), family=label)
 
 
-def theta_pi_rows(label: str, depth: int = 6) -> list:
-    entry = family(label, max(_LEAST_ORDER, depth + 3))
-    return _tag(theta_pi_check(entry.pair, depth), family=label)
+def theta_pi_rows(label: str) -> list:
+    entry = family(label, _LEAST_ORDER)
+    return _tag(theta_pi_check(entry.pair, 6), family=label)
 
 
-def hkdf_global_rows(depth: int = 10) -> list:
+def hkdf_global_rows() -> list:
     rows = []
     for m in (1, 2, 3):
-        rows.extend(_tag(hkdf_ladder_check(m, depth), family="all"))
-        rows.extend(_tag(hkdf_egf_check(m, depth), family="all"))
-    top = max(_LEAST_ORDER, depth)
-    trivial = ShefferPair(TruncatedSeries.x(top), TruncatedSeries.one(top))
-    for n in range(depth + 1):
+        rows.extend(_tag(hkdf_ladder_check(m, 10), family="all"))
+        rows.extend(_tag(hkdf_egf_check(m, 10), family="all"))
+    trivial = ShefferPair(TruncatedSeries.x(_LEAST_ORDER), TruncatedSeries.one(_LEAST_ORDER))
+    for n in range(11):
         rows.append(
             {"family": "all", "identity": "umbral_reduces_to_quadratic_hermite",
              "n": n, "pass": umbral_S(trivial, n) == hkdf(2, n)}
@@ -379,29 +379,28 @@ def hkdf_global_rows(depth: int = 10) -> list:
     return rows
 
 
-def evolution_rows(y_order: int = 8, pi_depth: int = 6) -> list:
+def evolution_rows() -> list:
     rows = []
     seeds = [Polynomial.one(), Polynomial.x(), Polynomial.from_coeffs([1, 0, 0, 1])]
     for idx, q in enumerate(seeds):
-        _, agree = evolution_solution(q, y_order)
+        _, agree = evolution_solution(q, 8)
         rows.append(
             {"family": "all", "identity": "evolution_routes_agree",
-             "seed": idx, "y_order": y_order, "pass": agree}
+             "seed": idx, "y_order": 8, "pass": agree}
         )
-    geom_order = 4 + pi_depth + 1
     for idx, q in enumerate(
         [Polynomial.one(), Polynomial.from_coeffs([0, 1, 2]), Polynomial.from_coeffs([3, 0, 0, 0, 1])]
     ):
-        _, m_op = _bessel_ops(geom_order)
+        _, m_op = _bessel_ops(4 + 6 + 1)  # 1/(1 - D) past degree 10, that of M^6 q
         poly = q
         ok = True
-        for n in range(1, pi_depth + 1):
+        for n in range(1, 7):
             poly = m_op.apply(poly)
             if pi_recursion(q, n) != poly:
                 ok = False
                 break
         rows.append(
             {"family": "all", "identity": "smoothing_recursion_equals_operator_power",
-             "seed": idx, "depth": pi_depth, "pass": ok}
+             "seed": idx, "depth": 6, "pass": ok}
         )
     return rows

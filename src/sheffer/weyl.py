@@ -93,14 +93,6 @@ class WeylElement(SparseTerms):
         den = pd * wd
         return Polynomial.from_coeffs([Fraction(s, den) for s in acc])
 
-    # -- serialization ----------------------------------------------------------
-
-    def to_json_list(self) -> list:
-        return [
-            {"x": i, "d": j, "c": str(self.terms[(i, j)])}
-            for (i, j) in sorted(self.terms)
-        ]
-
 
 def weyl_mul(u: SparseTerms, v: SparseTerms) -> SparseTerms:
     """Product in normal form, of two elements of the same type.

@@ -61,16 +61,16 @@ def test_criterion_1_monomiality_gate(catalog16):
 def test_criterion_2_oracle_gate(catalog16):
     ok = True
     for label in ("hermite", "laguerre", "bell", "lower_factorial", "idempotent"):
-        rows = suites.oracle_rows(label, depth=12)
+        rows = suites.oracle_rows(label)
         if not suites.rows_pass(rows):
             ok = False
     assert _report(2, "oracle gate", ok)
 
 
 def test_criterion_3_weyl_gate(catalog16):
-    ok = suites.rows_pass(suites.swap_oracle_rows(6, 6))
+    ok = suites.rows_pass(suites.swap_oracle_rows())
     for label in FAMILY_LABELS:
-        rows = suites.commutator_family_rows(label, depth=8, k_order=12)
+        rows = suites.commutator_family_rows(label)
         if not suites.rows_pass(rows):
             ok = False
     assert _report(3, "weyl gate", ok)
@@ -167,13 +167,13 @@ def test_criterion_7_multivar_gate(catalog16):
     if any(umbral_S(trivial, n) != hkdf(2, n) for n in range(11)):
         ok = False
     for label, entry in catalog16.items():
-        heat = suites.heat_rows(label, depth=8)
+        heat = suites.heat_rows(label)
         if not suites.rows_pass(heat):
             ok = False
-        theta = suites.theta_pi_rows(label, depth=6)
+        theta = suites.theta_pi_rows(label)
         if not suites.rows_pass(theta):
             ok = False
-    if not suites.rows_pass(suites.evolution_rows(y_order=8, pi_depth=6)):
+    if not suites.rows_pass(suites.evolution_rows()):
         ok = False
     assert _report(7, "multivar gate", ok)
 

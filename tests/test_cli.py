@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -26,6 +28,7 @@ from sheffer import (
     sequence_via_egf,
     sheffer_coeffs,
 )
+from sheffer import cli, suites
 from sheffer.cli import (
     _FUNCTION_EVAL,
     _SETTINGS,
@@ -352,6 +355,25 @@ def test_verify_single_suite_exits_zero(capsys):
     assert payload["pass"] is True
     assert payload["failed"] == 0
     assert all(row["suite"] == "monomiality" for row in payload["rows"])
+
+
+def _suite_calls():
+    """(builder, names of the arguments it gets) for each suite builder ``cli._SUITES`` calls."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_SUITES" for t in node.targets))
+    for node in ast.walk(table):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "suites"):
+            args = [getattr(arg, "attr", getattr(arg, "id", None)) for arg in node.args]
+            yield node.func.attr, args + [kw.arg for kw in node.keywords]
+
+
+def test_each_suite_builder_takes_exactly_what_the_cli_passes():
+    calls = dict(_suite_calls())
+    assert len(calls) == 10
+    for name, args in calls.items():
+        assert list(inspect.signature(getattr(suites, name)).parameters) == args, name
 
 
 def test_verify_summary_reports_suite_seconds_on_stderr(capsys):

@@ -6,6 +6,7 @@ package by lazy resolution.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,7 +16,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every public name the package exported before the Fock layer was split off
+# the package's public surface, pinned both ways: adding or dropping an export
+# takes an edit here
 PACKAGE_NAMES = (
     "BadConstantTerm", "CutoffTooSmall", "DomainError", "GuardExceeded", "IndexOutOfRange",
     "NonzeroInnerConstant", "NotInvertible", "OrderExceeded", "ParseError", "ShefferError",
@@ -23,7 +25,7 @@ PACKAGE_NAMES = (
     "TruncatedSeries", "arctan_series", "cos_series", "exp_series", "log_series",
     "sin_series", "sqrt_series", "tan_series", "WeylElement", "weyl_mul", "ShefferPair",
     "ShefferSequence", "build_M", "build_P", "sequence_via_egf", "sequence_via_raising",
-    "sheffer_coeffs", "shift_pair", "verify_monomiality", "FAMILY_LABELS", "FamilyEntry",
+    "sheffer_coeffs", "verify_monomiality", "FAMILY_LABELS", "FamilyEntry",
     "egf_eval", "family", "oracle_polys", "CoherentParams", "FockSpace",
     "NormallyOrderedSeries", "exp_element_coherent", "exp_element_coherent_closed",
     "exp_element_state", "exp_element_state_operator", "exp_element_vac", "fock_verify",
@@ -31,6 +33,18 @@ PACKAGE_NAMES = (
     "overlap", "verify_normal_order", "evolution_solution", "heat_check", "hkdf",
     "hkdf_egf_check", "hkdf_ladder_check", "pi_recursion", "theta_pi_check", "umbral_S",
     "__version__",
+)
+
+# names deleted from the library surface, with the object that carried each
+REMOVED_NAMES = (
+    ("sheffer", "compile_pair"), ("sheffer", "shift_pair"),
+    ("sheffer.sequences", "shift_pair"), ("sheffer.sequences", "taylor_shift"),
+    ("sheffer.sequences", "ShefferSequence.__len__"),
+    ("sheffer.series", "TruncatedSeries.to_json_dict"),
+    ("sheffer.series", "TruncatedSeries.from_json_dict"),
+    ("sheffer.weyl", "WeylElement.to_json_list"),
+    ("sheffer.fock", "FockSpace.a"), ("sheffer.fock", "FockSpace.adag"),
+    ("sheffer.fock", "FockSpace.weyl_matrix"),
 )
 
 EXACT_MODULES = ("series", "weyl", "sequences", "catalog", "normord", "multivar", "errors")
@@ -46,13 +60,32 @@ import sheffer.fock
 assert FockSpace is sheffer.fock.FockSpace and fock_verify is sheffer.fock.fock_verify
 missing = [name for name in {PACKAGE_NAMES!r} if not hasattr(sheffer, name)]
 assert not missing, missing
-assert not hasattr(sheffer, "compile_pair")
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_package_names_are_exactly_the_pinned_surface():
+    import sheffer
+
+    tree = ast.parse((SRC / "sheffer" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    public = [*imported, *sheffer._FOCK_NAMES, "__version__"]
+    assert len(public) == len(set(public))
+    assert sorted(public) == sorted(PACKAGE_NAMES)
+
+
+@pytest.mark.parametrize("module, name", REMOVED_NAMES)
+def test_removed_names_stay_gone(module, name):
+    owner = importlib.import_module(module)
+    *path, leaf = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, leaf)
 
 
 def _imported_modules(path: Path):

@@ -26,7 +26,6 @@ from sheffer import (
     sequence_via_egf,
     sequence_via_raising,
     sheffer_coeffs,
-    shift_pair,
     theta_pi_check,
     umbral_S,
     verify_monomiality,
@@ -172,33 +171,6 @@ def test_degree_and_leading_coefficient_law():
 @given(strat.sheffer_pairs(8))
 def test_random_pairs_satisfy_ladder_identities(pair):
     assert rows_pass(verify_monomiality(pair, 5))
-
-
-def test_shift_pair_by_zero_is_identity():
-    pair = family("bell", 10).pair
-    assert shift_pair(pair, 0) == pair
-
-
-def test_shift_pair_produces_valid_recentred_pair():
-    # bessel f is an exact polynomial, so the truncated shift is the true one:
-    # f~(x) = f(x + t) - f(t) = (1 - t) x - x^2/2
-    pair = family("bessel", 12).pair
-    shifted = shift_pair(pair, F(1, 3))
-    assert shifted.f.constant_term == 0
-    assert shifted.g.constant_term == 1
-    assert shifted.f.coefficient(1) == F(2, 3)
-    assert shifted.f.coefficient(2) == F(-1, 2)
-    assert rows_pass(verify_monomiality(shifted, 5))
-
-
-def test_shift_pair_rejects_g_zero():
-    order = 8
-    pair = ShefferPair(
-        TruncatedSeries.x(order),
-        TruncatedSeries.one(order) - TruncatedSeries.x(order),
-    )
-    with pytest.raises(ZeroConstantTerm):
-        shift_pair(pair, 1)
 
 
 # -- the per-pair core: finv, 1/g(finv), k = 1/f' and h*k, built once per pair ----

@@ -169,14 +169,6 @@ def test_eval_complex():
         e.eval_complex(complex(math.nan, 0.1), 1.0)
 
 
-def test_series_json_round_trip():
-    a = S([F(1, 3), -2, 0, F(7, 5)], 5)
-    data = a.to_json_dict()
-    assert data["order"] == 5
-    assert data["coeffs"][0] == "1/3"
-    assert TruncatedSeries.from_json_dict(data) == a
-
-
 # -- polynomials --------------------------------------------------------------
 
 

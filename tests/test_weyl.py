@@ -125,9 +125,3 @@ _small_poly = st.lists(strat.rationals, max_size=5).map(Polynomial.from_coeffs)
 @given(_small_weyl, _small_weyl, _small_poly)
 def test_apply_is_algebra_action(u, v, p):
     assert weyl_mul(u, v).apply(p) == u.apply(v.apply(p))
-
-
-def test_json_shape():
-    m = X.scale(2) - D
-    data = m.to_json_list()
-    assert data == [{"x": 0, "d": 1, "c": "-1"}, {"x": 1, "d": 0, "c": "2"}]
