@@ -32,7 +32,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import suites
 from .catalog import FAMILY_LABELS, _record, family
@@ -68,45 +68,6 @@ _FUNCTION_EVAL = {
 }
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
-    pos: int = field(default=0, compare=False)
-
-
 def _tokenize(text: str) -> list:
     tokens = []
     i = 0
@@ -115,9 +76,10 @@ def _tokenize(text: str) -> list:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # isdecimal, not isdigit: int() refuses digits such as "²"
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             if j < len(text) and text[j] == ".":
                 raise ParseError(j, "floating-point literals are not accepted")
@@ -140,19 +102,34 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-# Parsing recurses once per parenthesis or call level and evaluation once
-# per level of the tree, so both are bounded well inside the interpreter's
-# recursion limit.
+def _integer(token) -> int:
+    try:
+        return int(token[1])
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError(token[2],
+                         f"integer literal of {len(token[1])} digits is too long") from None
+
+
+# The parser recurses once per parenthesis or call, so this bounds its depth
+# well inside the interpreter's recursion limit. Operator chains, sign runs
+# and ``^`` runs are read in loops and may be of any length.
 _MAX_DEPTH = 100
 
 
 class _Parser:
-    """Recursive descent; each rule returns (node, depth of its tree)."""
+    """Recursive descent into postfix code, a list of (position, operation, argument).
+
+    Each operation pops its operands and pushes its result: "num" (argument:
+    the integer), "x", "neg", "+", "-", "*", "^" (argument: the exponent,
+    at least 0), "call" (argument: the function name) and "1/" (argument:
+    the division or negative power that takes the reciprocal).
+    """
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.index = 0
         self.nesting = 0
+        self.code = []
 
     def peek(self):
         return self.tokens[self.index]
@@ -165,164 +142,127 @@ class _Parser:
     def expect(self, kind: str):
         token = self.advance()
         if token[0] != kind:
-            raise ParseError(token[2], f"expected {kind!r}, found {token[1]!r}")
+            # a number is expected only as an exponent
+            wanted = "an integer exponent" if kind == "NUM" else repr(kind)
+            found = "end of input" if token[0] == "END" else repr(token[1])
+            raise ParseError(token[2], f"expected {wanted}, found {found}")
         return token
 
-    @staticmethod
-    def deeper(depth: int, pos: int) -> int:
-        if depth >= _MAX_DEPTH:
-            raise ParseError(pos, f"expression nested more than {_MAX_DEPTH} levels deep")
-        return depth + 1
-
-    def parse(self):
-        node, _ = self.expr()
+    def parse(self) -> list:
+        self.expr()
         token = self.peek()
         if token[0] != "END":
             raise ParseError(token[2], f"unexpected trailing input {token[1]!r}")
-        return node
+        return self.code
 
     def nested(self, pos: int):
-        self.nesting = self.deeper(self.nesting, pos)
-        result = self.expr()
+        if self.nesting >= _MAX_DEPTH:
+            raise ParseError(pos, f"expression nested more than {_MAX_DEPTH} levels deep")
+        self.nesting += 1
+        self.expr()
         self.nesting -= 1
-        return result
 
     def expr(self):
-        node, depth = self.term()
+        self.term()
         while self.peek()[0] in ("+", "-"):
             op, _, pos = self.advance()
-            right, right_depth = self.term()
-            node, depth = BinOp(op, node, right, pos), self.deeper(max(depth, right_depth), pos)
-        return node, depth
+            self.term()
+            self.code.append((pos, op, None))
 
     def term(self):
-        node, depth = self.unary()
+        self.unary()
         while self.peek()[0] in ("*", "/"):
             op, _, pos = self.advance()
-            right, right_depth = self.unary()
-            node, depth = BinOp(op, node, right, pos), self.deeper(max(depth, right_depth), pos)
-        return node, depth
+            self.unary()
+            if op == "/":  # a / b runs as a * (1/b)
+                self.code.append((pos, "1/", "division"))
+            self.code.append((pos, "*", None))
 
     def unary(self):
         # a run of signs is read in a loop, not by recursion
         signs = []
         while self.peek()[0] in ("+", "-"):
             signs.append(self.advance())
-        node, depth = self.power()
-        for kind, _, pos in reversed(signs):
-            if kind == "-":
-                node, depth = Neg(node, pos), self.deeper(depth, pos)
-        return node, depth
+        self.power()
+        self.code.extend((pos, "neg", None) for kind, _, pos in reversed(signs) if kind == "-")
 
     def power(self):
-        node, depth = self.atom()
+        self.atom()
         while self.peek()[0] == "^":
             _, _, pos = self.advance()
             sign = 1
             if self.peek()[0] == "-":
                 self.advance()
                 sign = -1
-            num = self.expect("NUM")
-            node, depth = Pow(node, sign * int(num[1]), pos), self.deeper(depth, pos)
-        return node, depth
+            exponent = sign * _integer(self.expect("NUM"))
+            if exponent < 0:  # b^-n runs as (1/b)^n
+                self.code.append((pos, "1/", "negative power"))
+            self.code.append((pos, "^", abs(exponent)))
 
     def atom(self):
         token = self.advance()
         kind, text, pos = token
         if kind == "NUM":
-            return Num(int(text), pos), 1
-        if kind == "IDENT":
-            if text == "x":
-                return Var(pos), 1
-            if text in _FUNCTION_EVAL:
-                self.expect("(")
-                arg, depth = self.nested(pos)
-                self.expect(")")
-                return Call(text, arg, pos), self.deeper(depth, pos)
-            raise ParseError(pos, f"unknown identifier {text!r}")
-        if kind == "(":
-            result = self.nested(pos)
+            self.code.append((pos, "num", _integer(token)))
+        elif kind == "IDENT" and text == "x":
+            self.code.append((pos, "x", None))
+        elif kind == "IDENT" and text in _FUNCTION_EVAL:
+            self.expect("(")
+            self.nested(pos)
             self.expect(")")
-            return result
-        raise ParseError(pos, f"unexpected token {text!r}")
-
-
-def parse_spec(text: str):
-    """Parse a series-spec expression into its AST."""
-    return _Parser(text).parse()
-
-
-def pretty(node) -> str:
-    """Fully parenthesized text form; parse(pretty(t)) == t."""
-    if isinstance(node, Num):
-        return str(node.value)
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Neg):
-        return f"(-{pretty(node.operand)})"
-    if isinstance(node, BinOp):
-        return f"({pretty(node.left)} {node.op} {pretty(node.right)})"
-    if isinstance(node, Pow):
-        return f"({pretty(node.base)}^{node.exponent})"
-    if isinstance(node, Call):
-        return f"{node.func}({pretty(node.arg)})"
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-def _eval_node(node, order: int) -> TruncatedSeries:
-    if isinstance(node, Num):
-        return TruncatedSeries.constant(node.value, order)
-    if isinstance(node, Var):
-        return TruncatedSeries.x(order)
-    if isinstance(node, Neg):
-        return -_eval_node(node.operand, order)
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, order)
-        right = _eval_node(node.right, order)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        try:
-            return left * right.reciprocal()
-        except ShefferError as exc:
-            raise DomainError(node.pos, f"division: {exc}") from exc
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, order)
-        exponent = node.exponent
-        if exponent < 0:
-            try:
-                base = base.reciprocal()
-            except ShefferError as exc:
-                raise DomainError(node.pos, f"negative power: {exc}") from exc
-            exponent = -exponent
-        out = TruncatedSeries.one(order)
-        power = base
-        while exponent:
-            if exponent & 1:
-                out = out * power
-            exponent >>= 1
-            if exponent:
-                power = power * power
-        return out
-    if isinstance(node, Call):
-        arg = _eval_node(node.arg, order)
-        try:
-            return _FUNCTION_EVAL[node.func](arg)
-        except ShefferError as exc:
-            raise DomainError(node.pos, f"{node.func}: {exc}") from exc
-    raise TypeError(f"not an AST node: {node!r}")
+            self.code.append((pos, "call", text))
+        elif kind == "IDENT":
+            raise ParseError(pos, f"unknown identifier {text!r}")
+        elif kind == "(":
+            self.nested(pos)
+            self.expect(")")
+        elif kind == "END":
+            raise ParseError(pos, "unexpected end of input")
+        else:
+            raise ParseError(pos, f"unexpected token {text!r}")
 
 
 def parse_series(text: str, order: int) -> TruncatedSeries:
     """Evaluate a series-spec expression to a truncated series.
 
-    Precondition violations of the series engine surface as positioned
-    DomainError diagnostics; malformed text raises ParseError.
+    The whole text is parsed before anything is evaluated, so malformed
+    text raises ParseError even where an earlier part would fail to
+    evaluate. Precondition violations of the series engine surface as
+    DomainError at the position of the operation they refuse.
     """
-    return _eval_node(parse_spec(text), order)
+    stack = []
+    for pos, op, arg in _Parser(text).parse():
+        if op == "num":
+            stack.append(TruncatedSeries.constant(arg, order))
+        elif op == "x":
+            stack.append(TruncatedSeries.x(order))
+        elif op == "neg":
+            stack.append(-stack.pop())
+        elif op in ("call", "1/"):
+            function = _FUNCTION_EVAL[arg] if op == "call" else TruncatedSeries.reciprocal
+            try:
+                stack.append(function(stack.pop()))
+            except ShefferError as exc:
+                raise DomainError(pos, f"{arg}: {exc}") from exc
+        elif op == "^":
+            base, out = stack.pop(), TruncatedSeries.one(order)
+            while arg:
+                if arg & 1:
+                    out = out * base
+                arg >>= 1
+                if arg:
+                    base = base * base
+            stack.append(out)
+        else:
+            right, left = stack.pop(), stack.pop()
+            if op == "+":
+                stack.append(left + right)
+            elif op == "-":
+                stack.append(left - right)
+            else:
+                stack.append(left * right)
+    (result,) = stack
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -248,14 +248,7 @@ def _disk_draw(rng, radius: float) -> complex:
 # one scope over the draws and _adjudication_rows, so no BLAS worker thread
 # is woken here and left spinning into the next suite
 @_one_blas_thread()
-def coherent_rows(
-    label: str,
-    order: int = 16,
-    cutoff: int = 64,
-    tol: float = 1e-8,
-    draws: int = 10,
-    seed: int = 7,
-) -> list:
+def coherent_rows(label: str, order: int, cutoff: int, tol: float, draws: int, seed: int) -> list:
     entry = family(label, max(order, _LEAST_ORDER))
     rng = _PCG64(seed + FAMILY_LABELS.index(label))
     rows = []

@@ -21,12 +21,19 @@ from sheffer import (
     FAMILY_LABELS,
     DomainError,
     ParseError,
+    ShefferError,
     ShefferPair,
     TruncatedSeries,
+    arctan_series,
+    cos_series,
+    exp_series,
     family,
     fock,
     sequence_via_egf,
     sheffer_coeffs,
+    sin_series,
+    sqrt_series,
+    tan_series,
 )
 from sheffer import cli, suites
 from sheffer.cli import (
@@ -39,8 +46,6 @@ from sheffer.cli import (
     config_from,
     main,
     parse_series,
-    parse_spec,
-    pretty,
 )
 
 CATALOG_SPECS = {
@@ -99,47 +104,113 @@ def test_parse_syntax_errors():
         parse_series("x^x", 4)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x - x^2/2",
-        "exp(x^2/4)",
-        "1/(1-x)",
-        "inv(x*exp(x))",
-        "-(x + 3/4)^2 * tan(x)",
-        "arctan(x) - sqrt(1+x)/2",
-        "sin(x)*cos(x) + 2^3",
-    ],
-)
-def test_pretty_round_trip(text):
-    tree = parse_spec(text)
-    assert parse_spec(pretty(tree)) == tree
+_X = TruncatedSeries.x(6)
+_ONE = TruncatedSeries.one(6)
+# each hand spec with its series built through the series API
+HAND_SPECS = {
+    "x - x^2/2": _X - _X * _X * F(1, 2),
+    "exp(x^2/4)": exp_series(_X * _X * F(1, 4)),
+    "1/(1-x)": (_ONE - _X).reciprocal(),
+    "inv(x*exp(x))": (_X * exp_series(_X)).comp_inverse(),
+    "-(x + 3/4)^2 * tan(x)": -((_X + _ONE * F(3, 4)) * (_X + _ONE * F(3, 4))) * tan_series(_X),
+    "arctan(x) - sqrt(1+x)/2": arctan_series(_X) - sqrt_series(_ONE + _X) * F(1, 2),
+    "sin(x)*cos(x) + 2^3": sin_series(_X) * cos_series(_X) + _ONE * 8,
+}
 
 
-def _ast_trees():
-    from sheffer.cli import BinOp, Call, Neg, Num, Pow, Var
+@pytest.mark.parametrize("text", HAND_SPECS)
+def test_hand_specs_equal_the_series_built_directly(text):
+    assert parse_series(text, 6) == HAND_SPECS[text]
 
-    leaves = st.one_of(st.integers(0, 99).map(Num), st.just(Var()))
+
+# A test-local tree: ("num", k), ("x",), ("neg", t), (op, t, t) for op in "+-*/",
+# ("^", t, n) or ("call", name, t).
+def _trees():
+    leaves = st.one_of(st.integers(0, 99).map(lambda k: ("num", k)), st.just(("x",)))
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from("+-*/"), children, children).map(
-                lambda t: BinOp(t[0], t[1], t[2])
-            ),
-            children.map(Neg),
-            st.tuples(children, st.integers(-3, 5)).map(lambda t: Pow(t[0], t[1])),
-            st.tuples(st.sampled_from(list(_FUNCTION_EVAL)), children).map(
-                lambda t: Call(t[0], t[1])
-            ),
+            st.tuples(st.sampled_from("+-*/"), children, children),
+            children.map(lambda t: ("neg", t)),
+            st.tuples(st.just("^"), children, st.integers(-3, 5)),
+            st.tuples(st.just("call"), st.sampled_from(list(_FUNCTION_EVAL)), children),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
 
 
-@settings(max_examples=60)
-@given(_ast_trees())
-def test_pretty_round_trip_random_trees(tree):
-    assert parse_spec(pretty(tree)) == tree
+def _evaluate(tree, order: int) -> TruncatedSeries:
+    """The tree's series through the series API alone; a refusal raises its ShefferError."""
+    kind = tree[0]
+    if kind == "num":
+        return TruncatedSeries.constant(tree[1], order)
+    if kind == "x":
+        return TruncatedSeries.x(order)
+    if kind == "neg":
+        return -_evaluate(tree[1], order)
+    if kind == "call":
+        return _FUNCTION_EVAL[tree[1]](_evaluate(tree[2], order))
+    left = _evaluate(tree[1], order)
+    if kind == "^":
+        base = left.reciprocal() if tree[2] < 0 else left
+        out = TruncatedSeries.one(order)
+        for _ in range(abs(tree[2])):
+            out = out * base
+        return out
+    right = _evaluate(tree[2], order)
+    if kind == "+":
+        return left + right
+    if kind == "-":
+        return left - right
+    if kind == "*":
+        return left * right
+    return left * right.reciprocal()
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _render(tree, minimal: bool, context: int = 0, right: bool = False) -> str:
+    """The tree as spec text: every operation in parentheses, or (``minimal``) only
+    those that precedence and left associativity need.
+
+    ``context`` is the precedence of the operation around the tree and
+    ``right`` tells whether the tree is its right operand.
+    """
+    kind = tree[0]
+    if kind == "num":
+        return str(tree[1])
+    if kind == "x":
+        return "x"
+    if kind == "call":
+        return f"{tree[1]}({_render(tree[2], minimal)})"
+    level = _PRECEDENCE[kind]
+    if kind == "neg":
+        text = "-" + _render(tree[1], minimal, level)
+    elif kind == "^":
+        text = f"{_render(tree[1], minimal, level)}^{tree[2]}"
+    else:
+        text = (f"{_render(tree[1], minimal, level)} {kind} "
+                f"{_render(tree[2], minimal, level, right=True)}")
+    if not minimal or level < context or (right and level == context):
+        return f"({text})"
+    return text
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees())
+def test_rendered_trees_parse_to_their_series(tree):
+    try:
+        expected = _evaluate(tree, 5)
+    except ShefferError:
+        expected = None
+    for minimal in (False, True):
+        text = _render(tree, minimal)
+        if expected is None:
+            with pytest.raises(DomainError):
+                parse_series(text, 5)
+        else:
+            assert parse_series(text, 5) == expected, text
 
 
 @pytest.mark.parametrize("label", sorted(CATALOG_SPECS))
@@ -373,7 +444,10 @@ def test_each_suite_builder_takes_exactly_what_the_cli_passes():
     calls = dict(_suite_calls())
     assert len(calls) == 10
     for name, args in calls.items():
-        assert list(inspect.signature(getattr(suites, name)).parameters) == args, name
+        parameters = inspect.signature(getattr(suites, name)).parameters
+        assert list(parameters) == args, name
+        # a default would be a second copy of RunConfig's
+        assert all(p.default is inspect.Parameter.empty for p in parameters.values()), name
 
 
 def test_verify_summary_reports_suite_seconds_on_stderr(capsys):
@@ -432,6 +506,25 @@ def test_gen_syntax_error_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text, position, message", [
+    ("", 0, "unexpected end of input"),
+    ("(x", 2, "expected ')', found end of input"),
+    ("x +", 3, "unexpected end of input"),
+    ("exp", 3, "expected '(', found end of input"),
+    ("x^", 2, "expected an integer exponent, found end of input"),
+    ("x^-", 3, "expected an integer exponent, found end of input"),
+    ("2 3", 2, "unexpected trailing input '3'"),
+    ("x^²", 2, "unexpected character '²'"),
+    ("9" * 5_000, 0, "integer literal of 5000 digits is too long"),
+    ("exp(" * 101 + "x" + ")" * 101, 400, "expression nested more than 100 levels deep"),
+], ids=["empty", "open", "plus", "exp", "caret", "caret-minus", "two-numbers", "superscript",
+        "long-literal", "nested-101"])
+def test_malformed_spec_is_one_positioned_usage_error(capsys, text, position, message):
+    code, out, err = run_cli(capsys, "gen", "--f", text, "--g", "1", "--n", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: at position {position}: {message}\n"
+
+
 @pytest.mark.parametrize("depth", [200, 10_000])
 def test_deeply_nested_spec_is_a_positioned_parse_error(capsys, depth):
     text = "(" * depth + "x" + ")" * depth
@@ -444,21 +537,41 @@ def test_deeply_nested_spec_is_a_positioned_parse_error(capsys, depth):
     assert "nested" in err and "position" in err
 
 
-@pytest.mark.parametrize(
-    "text",
-    ["-" * 10_000 + "x", "+".join(["x"] * 5_000), "exp(" * 300 + "x" + ")" * 300,
-     "x" + "^1" * 5_000],
-)
-def test_deep_trees_without_parentheses_are_parse_errors(text):
-    # long sign runs and operator chains nest the tree as deeply as parentheses
-    with pytest.raises(ParseError, match="nested"):
-        parse_series(text, 4)
+@pytest.mark.parametrize("text, expected", [
+    ("+".join(["x"] * 5_000), TruncatedSeries.x(4) * 5_000),
+    ("-" * 10_000 + "x", TruncatedSeries.x(4)),
+    ("x" + "^1" * 5_000, TruncatedSeries.x(4)),
+], ids=["sum", "signs", "powers"])
+def test_long_chains_without_parentheses_parse(text, expected):
+    # chains, sign runs and power runs are read in loops: only nesting is bounded
+    assert parse_series(text, 4) == expected
+
+
+def test_calls_nested_past_the_limit_are_parse_errors():
+    with pytest.raises(ParseError, match="nested more than 100 levels deep"):
+        parse_series("exp(" * 300 + "x" + ")" * 300, 4)
+
+
+def _nested_calls(depth: int) -> str:
+    return "inv(" * depth + "x" + ")" * depth
+
+
+def _nested_parentheses(depth: int) -> str:
+    return "(" * depth + "x" + ")" * depth
 
 
 def test_nesting_within_the_limit_parses():
-    assert parse_series("(" * 90 + "x" + ")" * 90, 3) == TruncatedSeries.x(3)
-    assert parse_series("-" * 99 + "x", 3) == -TruncatedSeries.x(3)
-    assert parse_spec("-+-x") == parse_spec("-(-x)")
+    x = TruncatedSeries.x(3)
+    assert parse_series(_nested_parentheses(90), 3) == x
+    assert parse_series("-" * 99 + "x", 3) == -x
+    assert parse_series("-+-x", 3) == parse_series("-(-x)", 3) == x
+    # the limit counts parentheses and calls: 100 of either parse, 101 do not
+    assert parse_series(_nested_calls(100), 3) == x
+    assert parse_series(_nested_parentheses(100), 3) == x
+    for text, innermost in ((_nested_calls(101), 400), (_nested_parentheses(101), 100)):
+        with pytest.raises(ParseError, match="nested") as info:
+            parse_series(text, 3)
+        assert info.value.position == innermost
 
 
 def test_gen_negative_degree_exit_two(capsys):
@@ -774,6 +887,9 @@ def _expressions(depth: int = 3):
     inner = _expressions(depth - 1)
     return st.one_of(
         leaf,
+        # chains longer than the nesting limit, which counts only parentheses and calls
+        st.tuples(st.sampled_from("+-*/"), st.integers(101, 400)).map(
+            lambda t: f" {t[0]} ".join(["x"] * t[1])),
         st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
         inner.map(lambda text: f"-{text}"),
         st.tuples(inner, st.integers(-2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),

@@ -45,6 +45,8 @@ REMOVED_NAMES = (
     ("sheffer.weyl", "WeylElement.to_json_list"),
     ("sheffer.fock", "FockSpace.a"), ("sheffer.fock", "FockSpace.adag"),
     ("sheffer.fock", "FockSpace.weyl_matrix"),
+    *(("sheffer.cli", name) for name in ("Num", "Var", "Neg", "BinOp", "Pow", "Call",
+                                          "parse_spec", "pretty", "_eval_node")),
 )
 
 EXACT_MODULES = ("series", "weyl", "sequences", "catalog", "normord", "multivar", "errors")

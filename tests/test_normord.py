@@ -960,7 +960,7 @@ def test_fock_numerics_run_on_one_blas_thread_and_restore_the_count(blas_threads
     monkeypatch.setattr(FockSpace, "apply_exp", spy)
     assert rows_pass(_hermite_verify(CoherentParams(0.3, 0.2j, 0.1)))
     assert blas_threads() == 2
-    assert rows_pass(coherent_rows("hahn", draws=1))
+    assert rows_pass(coherent_rows("hahn", order=16, cutoff=64, tol=1e-8, draws=1, seed=7))
     assert blas_threads() == 2
     # four per fock_verify, and one for hahn's adjudication row outside it
     assert seen == [1] * 9
@@ -972,7 +972,7 @@ def test_blas_thread_count_is_restored_when_the_call_raises(blas_threads):
         _hermite_verify(CoherentParams(0.9, 0.2, 0.1), cutoff=32, tol=1e-30)
     assert blas_threads() == 2
     with pytest.raises(CutoffTooSmall, match="coherent tail"):
-        coherent_rows("hermite", cutoff=32, tol=1e-300, draws=1)
+        coherent_rows("hermite", order=16, cutoff=32, tol=1e-300, draws=1, seed=7)
     assert blas_threads() == 2
 
 
@@ -1192,7 +1192,7 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
         # a new catalog pair, so each round builds the pair's core and compiled data
         family.cache_clear()
         counts.clear()
-        rows = coherent_rows(label, draws=draws)
+        rows = coherent_rows(label, order=16, cutoff=64, tol=1e-8, draws=draws, seed=7)
         assert rows_pass(rows)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
