@@ -276,7 +276,7 @@ _MAX_CUTOFF = 1024  # FockSpace holds dense cutoff x cutoff complex matrices: 16
 # 21 s (two-core Xeon); 10^8 would allocate a 10^8-entry list before any arithmetic
 _MAX_ORDER = 512
 # Largest coherent-state draw count. Every row is held until the end:
-# ``verify coherent --draws 1000`` takes 23 s and peaks at 96 MB over the seven
+# ``verify coherent --draws 1000`` takes 5 s and peaks at 101 MB over the seven
 # families (two-core Xeon), so 10^8 draws would run for days and run out of memory
 _MAX_DRAWS = 1000
 
@@ -385,7 +385,7 @@ def _json_text(value, level: int) -> str:
         if not value:
             return "{}"
         inner = "\n" + "  " * (level + 1)
-        parts = [f"{_encode_str(_key_text(key))}: {_json_text(item, level + 1)}"
+        parts = [f"{_encode_str(_key_text(key))}: {_item_text(item, level + 1)}"
                  for key, item in value.items()]
         return "{" + inner + ("," + inner).join(parts) + "\n" + "  " * level + "}"
     if value is True:
@@ -403,6 +403,23 @@ def _json_text(value, level: int) -> str:
         parts = [_json_text(item, level + 1) for item in value]
         return "[" + inner + ("," + inner).join(parts) + "\n" + "  " * level + "]"
     return _encode_str(str(value))
+
+
+# The text of each dict met as a dict's value, by id, with the dict itself so
+# that its id stays its own: the thirteen rows of a coherent draw share one
+# params dict. ``_emit`` empties it when it returns; rows themselves are not
+# kept, so the text of a payload is never held whole.
+_shared_texts: dict = {}
+
+
+def _item_text(item, level: int) -> str:
+    """``_json_text(item, level)`` for a dict's value, a dict's text written once."""
+    if type(item) is not dict:
+        return _json_text(item, level)
+    kept = _shared_texts.get(id(item))
+    if kept is None or kept[1] != level:
+        kept = _shared_texts[id(item)] = (item, level, _json_text(item, level))
+    return kept[2]
 
 
 def _json_pieces(value, level: int = 0, prefix: str = ""):
@@ -440,11 +457,15 @@ def _emit(payload, fmt: str, columns=None, out=None):
     Python, and a writer that builds the whole text first holds all of it at
     once (a ``verify`` payload is about 0.7 MB), which raised the peak
     resident set; a row at a time keeps both the calls and the memory small.
+    A dict that several rows share is encoded once (``_item_text``).
     """
     out = out or sys.stdout
     if fmt == "json":
-        for piece in _json_pieces(payload):
-            out.write(piece)
+        try:
+            for piece in _json_pieces(payload):
+                out.write(piece)
+        finally:
+            _shared_texts.clear()
         out.write("\n")
         return
     rows = payload if isinstance(payload, list) else [payload]
@@ -616,10 +637,9 @@ def _cmd_matrix_element(args) -> int:
         "exp_element": [value.real, value.imag],
     }
     if args.fock_check:
-        params = CoherentParams(z, zp, lam)
-        rows = fock_verify(
+        [rows] = fock_verify(
             entry.pair,
-            params,
+            [CoherentParams(z, zp, lam)],
             cutoff=cfg.cutoff,
             tol=cfg.tol,
             maps=entry.maps,

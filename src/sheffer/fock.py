@@ -30,11 +30,16 @@ among these are read from the pair's own cached properties
 (``ShefferPair.finv``, ``.prefactor`` and ``.ladder``), which
 ``sheffer.normord`` reads too. Each closed form is one module function over
 these parts, and ``FockSpace.pair_matrix`` is the one way to the image of
-M. A verifier draw then runs on floating point alone: Horner sums, inner
-products of its bra with the cached moment vectors, numpy products, and the
-recentred image of M as one matrix-vector product with the powers of z'.
-``FockSpace`` builds the images of a-series and exp(t*adag) entrywise from
-the factors sqrt((i+m)!/i!) instead of matrix products.
+M. The verifier then runs on floating point alone, and checks a family's
+draws as one batch: the draws' vectors are the columns of one block, one
+product of their bras with the cached moment vectors gives every
+<z|M^n|l>, one scaled Taylor sum applies each draw's exp(lam*M) to its
+four vectors, and the recentred M(a + z', adag) acts on two vectors per
+draw by Horner sums on the block, from the Taylor-shift weights and the
+powers of z', without a shifted image. Only the closed forms are Horner
+sums per draw. ``FockSpace`` builds the images of a-series and
+exp(t*adag) entrywise from the factors sqrt((i+m)!/i!) instead of matrix
+products.
 
 On the number-state closed forms: the printed rule
 <z|M^n|l> = s_{n+l}(z*)/sqrt(l!) <z|0> is implemented literally by
@@ -43,12 +48,15 @@ at l >= 1. The operator route ``mono_element_operator`` evaluates
 (M^n x^l)(z*)/sqrt(l!), which is what the Fock verifier confirms; both are
 compared by the adjudication rows of ``fock_verify``.
 
-On BLAS threads: a draw is several dozen products of a 64x64 complex matrix
-with a vector, too small to share out. A second OpenBLAS thread only spins
-through them: 20 000 such products took 0.07-0.09 s wall and 0.15-0.17 s
-CPU on two threads, 0.05-0.07 s wall and 0.07-0.08 s CPU on one (two-core
-Xeon, numpy 2.4 with scipy-openblas). So ``fock_verify`` and
-``suites.coherent_rows`` run inside ``_one_blas_thread``, which sets the
+On BLAS threads: a family's batch is a few dozen products of a 64x64
+complex matrix with a block of about forty columns, with Python steps
+between them. A second OpenBLAS thread shortens such a product a little
+and spins on through the steps between: 2 000 of them took 0.05 s wall and
+0.09-0.11 s CPU on two threads, 0.06-0.08 s wall and CPU on one, and a warm
+``verify coherent`` took 0.045-0.049 s wall on either but 0.092-0.097 s
+CPU on two threads against 0.045-0.049 s on one (two-core Xeon, numpy 2.4
+with scipy-openblas). So ``fock_verify``
+and ``suites.coherent_rows`` run inside ``_one_blas_thread``, which sets the
 OpenBLAS that numpy loaded to one thread for the call and restores the
 count it found, also when the call raises. It reads and writes no
 environment variable, and does nothing when it finds no OpenBLAS under
@@ -107,18 +115,21 @@ def _horner(coeffs, z) -> complex:
     return acc
 
 
-def _powers(t: complex, count: int) -> np.ndarray:
-    """[1, t, t^2, ..., t^(count-1)] as a complex array."""
-    return np.cumprod(np.concatenate(([1 + 0j], np.full(count - 1, complex(t)))))
+def _powers(t, count: int) -> np.ndarray:
+    """[1, t, t^2, ..., t^(count-1)] down axis 0, a column per entry of an array t."""
+    t = np.asarray(t, dtype=complex)
+    steps = np.empty((count,) + t.shape, dtype=complex)
+    steps[0] = 1.0
+    steps[1:] = t
+    return np.cumprod(steps, axis=0)
 
 
-def _norm(v: np.ndarray) -> float:
-    """||v||, as the expression numpy 2.4's norm evaluates for a 1-D complex v.
+def _norms(block: np.ndarray) -> np.ndarray:
+    """The norm of each column of ``block``, as ``np.linalg.norm(block, axis=0)``.
 
     It skips that call's dispatch; a test pins the two bit for bit.
     """
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    return np.sqrt((block.conj() * block).real.sum(axis=0))
 
 
 def _shift_weights(coeffs) -> np.ndarray:
@@ -150,7 +161,11 @@ def _finite(what: str, compute, *args):
             return out
     except (OverflowError, ZeroDivisionError):
         pass
-    raise GuardExceeded(f"{what} divides by zero or overflows")
+    raise _overflow(what)
+
+
+def _overflow(what: str) -> GuardExceeded:
+    return GuardExceeded(f"{what} divides by zero or overflows")
 
 
 _NEWTON_STEPS = 64
@@ -195,8 +210,9 @@ class CompiledPair:
     the exact polynomial at a complex point. The chain M^k 1 is read from
     the sequence: by the monomiality principle it is s_k. Per Fock cutoff,
     ``images`` holds the image of M, which ``FockSpace.pair_matrix`` fills,
-    and ``moments`` the vectors M^n|l> that ``fock_verify`` checks, which
-    ``FockSpace.pair_moments`` fills.
+    and ``moments`` the block whose columns are the vectors M^n|l> that
+    ``fock_verify`` checks, which ``FockSpace.pair_moments`` fills. The
+    Taylor-shift weights serve ``FockSpace.shifted_action``.
     """
 
     def __init__(self, pair: ShefferPair):
@@ -467,7 +483,11 @@ def _exp_adag_table(dim: int):
 
 
 class FockSpace:
-    """Dense cutoff-d images of the boson operators and helper numerics."""
+    """Dense cutoff-d images of the boson operators and helper numerics.
+
+    Vectors are the columns of a block, one column per draw or number
+    state, so that one matrix product serves all of them.
+    """
 
     def __init__(self, dim: int):
         if dim < 2:
@@ -475,27 +495,21 @@ class FockSpace:
         self.dim = dim
         self._roots = np.sqrt(np.arange(2 * dim, dtype=float))
 
-    def number_vec(self, l: int) -> np.ndarray:
-        if l >= self.dim:
-            raise CutoffTooSmall(f"|{l}> outside cutoff {self.dim}")
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[l] = 1.0
-        return vec
+    def coherent_vecs(self, zs):
+        """Truncated coherent vectors of ``zs`` as the columns of one block, and their tails.
 
-    def coherent_vec(self, z: complex):
-        """Truncated coherent vector and its norm-tail estimate."""
-        vec = np.empty(self.dim, dtype=complex)
-        amp = math.exp(-abs(z) ** 2 / 2)
-        vec[0] = amp
-        for n in range(1, self.dim):
-            vec[n] = vec[n - 1] * z / math.sqrt(n)
-        d = self.dim
-        log_tail = (
-            -abs(z) ** 2 / 2
-            + d * math.log(max(abs(z), 1e-300))
-            - 0.5 * math.lgamma(d + 1)
+        Column j is the running product of exp(-|z|^2/2) and z/sqrt(n) down
+        n, for z = zs[j]; its tail estimates the norm cut off past the cutoff.
+        """
+        zs = np.asarray(zs, dtype=complex)
+        dim, mags = self.dim, np.abs(zs)
+        steps = np.empty((dim, len(zs)), dtype=complex)
+        steps[0] = np.exp(-mags**2 / 2)
+        steps[1:] = zs / self._roots[1:dim, None]
+        log_tails = (
+            -mags**2 / 2 + dim * np.log(np.maximum(mags, 1e-300)) - 0.5 * math.lgamma(dim + 1)
         )
-        return vec, math.exp(min(log_tail, 300.0))
+        return np.cumprod(steps, axis=0), np.exp(np.minimum(log_tails, 300.0))
 
     def series_on_a(self, coeffs) -> np.ndarray:
         """Image of sum c_j a^j; exact at the cutoff since a^dim = 0.
@@ -522,49 +536,38 @@ class FockSpace:
         out -= self.series_on_a(hk_coeffs)
         return out
 
-    def pair_matrix(self, pair: ShefferPair, shift: complex | None = None) -> np.ndarray:
-        """Image of M = adag*k(a) - (h*k)(a), optionally recentred a -> a + shift.
+    def pair_matrix(self, pair: ShefferPair) -> np.ndarray:
+        """Image of M = adag*k(a) - (h*k)(a), built once per pair and cutoff, read-only.
 
-        The unshifted image is built once per pair and cutoff and returned
-        read-only; a shifted one is built from the pair's Taylor-shift
-        weights at each call. Both are rounded under ``_finite``.
+        It is rounded under ``_finite``. ``shifted_action`` applies M
+        recentred at a -> a + t without an image.
         """
         compiled = compile_pair(pair)
-        if shift is None or shift == 0:
-            image = compiled.images.get(self.dim)
-            if image is None:
-                image = _finite("image of M", self._ladder_image,
-                                *(ser.coeffs for ser in pair.ladder))
-                image.setflags(write=False)
-                compiled.images[self.dim] = image
-            return image
+        image = compiled.images.get(self.dim)
+        if image is None:
+            image = _finite("image of M", self._ladder_image, *(ser.coeffs for ser in pair.ladder))
+            image.setflags(write=False)
+            compiled.images[self.dim] = image
+        return image
 
-        def shifted():
-            k_weights, hk_weights = compiled._ladder_shift_weights
-            powers = _powers(complex(shift), len(k_weights))
-            return self._ladder_image(k_weights @ powers, hk_weights @ powers)
+    def pair_moments(self, pair: ShefferPair) -> np.ndarray:
+        """M^n|l> for l = 0.._L_MAX and n = 1.._MOMENTS_MAX as columns, read-only.
 
-        return _finite(f"image of M shifted by {shift}", shifted)
-
-    def pair_moments(self, pair: ShefferPair) -> tuple:
-        """M^n|l> for l = 0.._L_MAX (outer) and n = 1.._MOMENTS_MAX, read-only.
-
-        Built from the image of M once per pair and cutoff; a draw takes
-        only their inner products with its bra.
+        Column l*_MOMENTS_MAX + n - 1 holds M^n|l>. Built from the image of M
+        once per pair and cutoff, by _MOMENTS_MAX products with a block of
+        the number states; a draw takes only their inner products with its bra.
         """
         compiled = compile_pair(pair)
         moments = compiled.moments.get(self.dim)
         if moments is None:
             m_mat = self.pair_matrix(pair)
-            moments = []
-            for l in range(_L_MAX + 1):
-                w, ladder = self.number_vec(l), []
-                for _ in range(_MOMENTS_MAX):
-                    w = m_mat @ w
-                    w.setflags(write=False)
-                    ladder.append(w)
-                moments.append(tuple(ladder))
-            moments = compiled.moments[self.dim] = tuple(moments)
+            block, powers = np.eye(self.dim, _L_MAX + 1, dtype=complex), []
+            for _ in range(_MOMENTS_MAX):
+                block = m_mat @ block
+                powers.append(block)
+            moments = np.stack(powers, axis=2).reshape(self.dim, -1)
+            moments.setflags(write=False)
+            compiled.moments[self.dim] = moments
         return moments
 
     def exp_adag(self, t: complex) -> np.ndarray:
@@ -572,39 +575,74 @@ class FockSpace:
         table, power_index = _exp_adag_table(self.dim)
         return table * _powers(t, self.dim)[power_index]
 
-    def apply_exp(self, mat: np.ndarray, lam: complex, vec: np.ndarray):
-        """exp(lam*mat) @ vec by scaled Taylor summation on the vector.
+    def apply_exp(self, mat: np.ndarray, lams, block: np.ndarray):
+        """exp(lams[j]*mat) @ block[:, j] for each column j, by scaled Taylor summation.
 
-        The scaling power comes from the effective norm ||lam*mat*vec||/||vec||
+        The block takes one scaling power, the largest any column needs. A
+        column's need comes from its effective norm |lam| ||mat v|| / ||v||
         rather than the raw matrix norm, which is dominated by high
-        occupation numbers irrelevant to coherent-supported states.
-        Returns (vector, tail_estimate).
+        occupation numbers irrelevant to coherent-supported states. Each
+        column stops at its own term test, and a zero column comes back as it
+        is. Returns (block, tails): a column's tail is its last term's norm
+        times the number of scaling steps. A column whose sum does not
+        converge raises CutoffTooSmall.
         """
-        nv = _norm(vec)
-        if nv == 0:
-            return vec.copy(), 0.0
-        eff = abs(lam) * _norm(mat @ vec) / nv
+        lams = np.asarray(lams, dtype=complex)
+        out = np.array(block, dtype=complex)
+        tails = np.zeros(out.shape[1])
+        norms = _norms(out)
+        cols = np.flatnonzero(norms != 0)
+        if not cols.size:
+            return out, tails
+        eff = (np.abs(lams[cols]) * _norms(mat @ out[:, cols]) / norms[cols]).max()
         s = 0
         while eff > 1.0 and s < 10:
             eff /= 2.0
             s += 1
         reps = 1 << s
-        lam_s = lam / reps
-        out = vec.astype(complex)
-        tail = 0.0
+        lam_s = lams / reps
         for _ in range(reps):
-            term = out
-            acc = out.copy()
+            live = cols
+            acc = term = out[:, live]
             for k in range(1, 400):
-                term = lam_s * (mat @ term) / k
+                term = (mat @ term) * (lam_s[live] / k)
                 acc += term
-                tail = _norm(term)
-                if tail <= 1e-17 * _norm(acc):
-                    break
+                tail = _norms(term)
+                done = tail <= 1e-17 * _norms(acc)
+                if done.any():
+                    out[:, live[done]] = acc[:, done]
+                    tails[live[done]] = tail[done]
+                    keep = ~done
+                    live, acc, term = live[keep], acc[:, keep], term[:, keep]
+                    if not live.size:
+                        break
             else:
                 raise CutoffTooSmall("matrix exponential Taylor sum did not converge")
-            out = acc
-        return out, tail * reps
+        return out, tails * reps
+
+    def shifted_action(self, pair: ShefferPair, shifts, block: np.ndarray) -> np.ndarray:
+        """M(a + t, adag) @ block[:, j] for each column j, with t = shifts[j].
+
+        That is adag*K(a) - HK(a), where K and HK are k = 1/f' and h*k
+        shifted to x + t: the pair's Taylor-shift weights times the powers of
+        t. Both series in a are summed on the vectors by Horner, so no
+        shifted image is built. Weights past the float range raise
+        OverflowError; an overflow in the sums leaves inf or nan in the
+        columns it reaches.
+        """
+        dim, width = self.dim, block.shape[1]
+        k_weights, hk_weights = compile_pair(pair)._ladder_shift_weights
+        powers = _powers(shifts, len(k_weights))
+        coeffs = np.concatenate([k_weights @ powers, hk_weights @ powers], axis=1)[:dim]
+        both = np.concatenate([block, block], axis=1)
+        acc = np.zeros_like(both)
+        for c in coeffs[::-1]:  # acc <- a acc + c both
+            acc[:-1] = self._roots[1:dim, None] * acc[1:]
+            acc[-1] = 0.0
+            acc += c * both
+        out = -acc[:, width:]
+        out[1:] += self._roots[1:dim, None] * acc[:-1, :width]
+        return out
 
 
 def _batched_row(identity: str, pairs, tol: float, tail: float) -> dict:
@@ -631,12 +669,15 @@ def _adjudicated_row(identity: str, pairs, tol: float, tail: float) -> dict:
 
 
 MIN_CUTOFF = 32  # smallest Fock cutoff that fock_verify and the CLI's --cutoff accept
+# draws whose vectors share one block: at the CLI's largest cutoff, 1024, a
+# block of their exponentials' columns holds 2 MB
+_BLOCK_DRAWS = 32
 
 
 @_one_blas_thread()
 def fock_verify(
     pair: ShefferPair,
-    params: CoherentParams,
+    draws,
     cutoff: int = 64,
     tol: float = 1e-8,
     *,
@@ -644,93 +685,145 @@ def fock_verify(
     z_guard: float = 0.5,
     lam_guard: float = 0.25,
 ) -> list:
-    """Numeric check of the coherent-state matrix elements at one parameter point.
+    """Numeric check of the coherent-state matrix elements at each draw's parameters.
 
-    Builds cutoff-d images of the boson operators, assembles M from the
-    pair's truncated series, and compares matrix elements against the
-    closed forms. Returns report rows; the adjudication rows compare the
+    ``draws`` is a sequence of ``CoherentParams``. Builds cutoff-d images of
+    the boson operators, assembles M from the pair's truncated series, and
+    compares matrix elements against the closed forms. Returns one list of
+    report rows per draw, in draw order; the adjudication rows compare the
     printed number-state rule against the operator route and always carry
     pass=True with a ``matches_printed`` field (completed, not asserted).
-    Runs with OpenBLAS on one thread (``_one_blas_thread``).
+
+    The draws are checked together, _BLOCK_DRAWS at a time: their vectors
+    are the columns of one block, and each numeric step is one product or
+    one Taylor sum over it. A refused draw raises what it raises alone, once
+    the draws before it are checked, so a batch raises what its draws
+    checked one at a time would raise first. The one exception is a Taylor
+    sum that does not converge, which refuses its whole block. Runs with
+    OpenBLAS on one thread (``_one_blas_thread``).
     """
     if cutoff < MIN_CUTOFF:
         raise CutoffTooSmall(f"Fock cutoff must be >= {MIN_CUTOFF}")
-    z, zp, lam = params.z, params.zp, params.lam
-    check_guard("|z| and |z'|", 1.0, z, zp)
-    check_guard("|z'|", z_guard, zp)
-    check_guard("|lambda|", lam_guard, lam)
-
     space = FockSpace(cutoff)
-    z_vec, z_tail = space.coherent_vec(z)
-    zp_vec, zp_tail = space.coherent_vec(zp)
-    tail = max(z_tail, zp_tail)
-    if tail > tol:
-        raise CutoffTooSmall(f"coherent tail {tail:.3g} above tolerance {tol:.3g}")
+    draws = list(draws)
+    checked = []
+    for start in range(0, len(draws), _BLOCK_DRAWS):
+        block = draws[start : start + _BLOCK_DRAWS]
+        checked.extend(_verify_block(space, pair, block, tol, maps, z_guard, lam_guard))
+    return checked
+
+
+def _verify_block(space: FockSpace, pair, draws: list, tol, maps, z_guard, lam_guard) -> list:
+    # A draw refused by a guard or by its coherent tail ends the block there,
+    # after the draws before it have been checked in full.
+    refusal = None
+    for i, params in enumerate(draws):
+        try:
+            check_guard("|z| and |z'|", 1.0, params.z, params.zp)
+            check_guard("|z'|", z_guard, params.zp)
+            check_guard("|lambda|", lam_guard, params.lam)
+        except GuardExceeded as exc:
+            draws, refusal = draws[:i], exc
+            break
+    zps = np.array([params.zp for params in draws], dtype=complex)
+    vecs, tails = space.coherent_vecs(
+        np.concatenate([[params.z for params in draws], zps, zps / 2]))
+    z_vecs, zp_vecs, half_vecs = np.split(vecs, 3, axis=1)
+    z_tails, zp_tails, _ = np.split(tails, 3)
+    tails = np.maximum(z_tails, zp_tails).tolist()
+    for i, tail in enumerate(tails):
+        if tail > tol:
+            draws, refusal = draws[:i], CutoffTooSmall(
+                f"coherent tail {tail:.3g} above tolerance {tol:.3g}")
+            break
+    count, dim = len(draws), space.dim
+    if not count:
+        if refusal is not None:
+            raise refusal
+        return []
+    z_vecs, zp_vecs, half_vecs, zps = (a[..., :count] for a in (z_vecs, zp_vecs, half_vecs, zps))
     m_mat = space.pair_matrix(pair)
-    vac_factor = cmath.exp(-abs(z) ** 2 / 2)  # <z|0>
-    zs = z.conjugate()
-    rows = []
+    bras = z_vecs.conj()
 
-    # overlap sanity
-    num = complex(np.vdot(z_vec, zp_vec))
-    rows.append(_batched_row("overlap", [(num, overlap(z, zp))], tol, tail))
+    overlaps = (bras * zp_vecs).sum(axis=0).tolist()
+    # <z|M^n|l>: draw, then l, then n - 1
+    moments = (bras.T @ space.pair_moments(pair)).reshape(count, _L_MAX + 1, -1).tolist()
+    # exp(lam*M) on |0>, .., |_L_MAX> and |z'>: each a group of a column per draw
+    starts = np.repeat(np.eye(dim, _L_MAX + 1, dtype=complex), count, axis=1)
+    lams = np.array([params.lam for params in draws], dtype=complex)
+    exps, exp_tails = space.apply_exp(m_mat, np.tile(lams, _L_MAX + 2), np.hstack([starts, zp_vecs]))
+    exps = (bras[:, None] * exps.reshape(dim, _L_MAX + 2, count)).sum(axis=0).tolist()
+    exp_tails = exp_tails.reshape(_L_MAX + 2, count).tolist()
+    # M(a + z', adag) on |0> and |z'/2> of each draw
+    recentred = np.hstack([starts[:, :count], half_vecs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            shifted = space.shifted_action(pair, np.tile(zps, 2), recentred)
+        except OverflowError:  # the Taylor-shift weights do not round to float
+            shifted = np.full_like(recentred, np.inf)
+        shifted = shifted.reshape(dim, 2, count)
+        shifted_finite = np.isfinite(shifted).all(axis=(0, 1)).tolist()
+        shifted = (bras[:, None] * shifted).sum(axis=0).T.tolist()
+    recentred = recentred.reshape(dim, 2, count)
 
-    # <z|M^n|l> for l = 0 (printed form is exact here) and l >= 1 (operator route)
-    for l, ladder in enumerate(space.pair_moments(pair)):
-        vals = []
-        printed = []
-        for n, w in enumerate(ladder, 1):
-            num = complex(np.vdot(z_vec, w))
-            closed = mono_element_operator(pair, n, l, zs) * vac_factor
-            vals.append((num, closed))
-            if l > 0:  # only there is the printed form adjudicated
-                printed.append((num, mono_element(pair, n, l, zs) * vac_factor))
-        name = "moments_vacuum" if l == 0 else f"moments_state_operator_l{l}"
-        rows.append(_batched_row(name, vals, tol, tail))
-        if l > 0:
+    out = []
+    for d, params in enumerate(draws):
+        z, zp, lam = params.z, params.zp, params.lam
+        tail = tails[d]
+        vac_factor = cmath.exp(-abs(z) ** 2 / 2)  # <z|0>
+        zs = z.conjugate()
+        rows = [_batched_row("overlap", [(overlaps[d], overlap(z, zp))], tol, tail)]
+
+        # <z|M^n|l> for l = 0 (printed form is exact here) and l >= 1 (operator route)
+        for l, values in enumerate(moments[d]):
+            vals = []
+            printed = []
+            for n, num in enumerate(values, 1):
+                vals.append((num, mono_element_operator(pair, n, l, zs) * vac_factor))
+                if l > 0:  # only there is the printed form adjudicated
+                    printed.append((num, mono_element(pair, n, l, zs) * vac_factor))
+            name = "moments_vacuum" if l == 0 else f"moments_state_operator_l{l}"
+            rows.append(_batched_row(name, vals, tol, tail))
+            if l > 0:
+                rows.append(
+                    _adjudicated_row(f"adjudication:moments_state_printed_l{l}", printed, tol, tail)
+                )
+
+        # <z|exp(lam*M)|l>
+        for l in range(0, _L_MAX + 1):
+            num, exp_tail = exps[l][d], max(tail, exp_tails[l][d])
+            if l == 0:
+                closed = exp_element_vac(pair, lam, zs, lam_guard) * vac_factor
+                rows.append(_batched_row("exp_vacuum", [(num, closed)], tol, exp_tail))
+                continue
+            closed = exp_element_state_operator(pair, lam, zs, l, lam_guard) * vac_factor
+            rows.append(_batched_row(f"exp_state_operator_l{l}", [(num, closed)], tol, exp_tail))
+            printed = [(num, exp_element_state(pair, lam, zs, l, lam_guard) * vac_factor)]
             rows.append(
-                _adjudicated_row(f"adjudication:moments_state_printed_l{l}", printed, tol, tail)
+                _adjudicated_row(f"adjudication:exp_state_printed_l{l}", printed, tol, exp_tail)
             )
 
-    # <z|exp(lam*M)|l>
-    for l in range(0, _L_MAX + 1):
-        vec, exp_tail = space.apply_exp(m_mat, lam, space.number_vec(l))
-        num = complex(np.vdot(z_vec, vec))
-        exp_tail = max(tail, exp_tail)
-        if l == 0:
-            closed = exp_element_vac(pair, lam, zs, lam_guard) * vac_factor
-            rows.append(_batched_row("exp_vacuum", [(num, closed)], tol, exp_tail))
-            continue
-        closed = exp_element_state_operator(pair, lam, zs, l, lam_guard) * vac_factor
-        rows.append(_batched_row(f"exp_state_operator_l{l}", [(num, closed)], tol, exp_tail))
-        printed = [(num, exp_element_state(pair, lam, zs, l, lam_guard) * vac_factor)]
-        rows.append(
-            _adjudicated_row(f"adjudication:exp_state_printed_l{l}", printed, tol, exp_tail)
-        )
-
-    # <z|exp(lam*M)|z'>
-    vec, exp_tail = space.apply_exp(m_mat, lam, zp_vec)
-    num = complex(np.vdot(z_vec, vec))
-    if maps is not None:
-        closed = exp_element_coherent_closed(maps, z, zp, lam)
-    else:
-        closed, estimate = exp_element_coherent(
-            pair, z, zp, lam, lam_guard=lam_guard, z_guard=z_guard
-        )
-        if estimate > tol:
-            raise GuardExceeded(
-                f"coherent series estimate {estimate:.3g} above tolerance {tol:.3g}"
+        # <z|exp(lam*M)|z'>
+        if maps is not None:
+            closed = exp_element_coherent_closed(maps, z, zp, lam)
+        else:
+            closed, estimate = exp_element_coherent(
+                pair, z, zp, lam, lam_guard=lam_guard, z_guard=z_guard
             )
-    rows.append(_batched_row("exp_coherent", [(num, closed)], tol, max(tail, exp_tail)))
+            if estimate > tol:
+                raise GuardExceeded(
+                    f"coherent series estimate {estimate:.3g} above tolerance {tol:.3g}"
+                )
+        rows.append(_batched_row("exp_coherent", [(exps[-1][d], closed)], tol,
+                                 max(tail, exp_tails[-1][d])))
 
-    # recentring identity: exp(-z' adag) M exp(z' adag) = M(a + z', adag)
-    shifted = space.pair_matrix(pair, zp)
-    plus = space.exp_adag(zp)
-    minus = space.exp_adag(-zp)
-    pairs = []
-    for w in (space.number_vec(0), space.coherent_vec(zp / 2)[0]):
-        left = complex(np.vdot(z_vec, minus @ (m_mat @ (plus @ w))))
-        right = complex(np.vdot(z_vec, shifted @ w))
-        pairs.append((left, right))
-    rows.append(_batched_row("shift_identity", pairs, tol, tail))
-    return rows
+        # recentring identity: exp(-z' adag) M exp(z' adag) = M(a + z', adag)
+        if not shifted_finite[d]:
+            raise _overflow(f"image of M shifted by {zp}")
+        plus, minus = space.exp_adag(zp), space.exp_adag(-zp)
+        left = (bras[:, d] @ (minus @ (m_mat @ (plus @ recentred[:, :, d])))).tolist()
+        rows.append(_batched_row("shift_identity", list(zip(left, shifted[d])), tol, tail))
+        out.append(rows)
+    if refusal is not None:
+        raise refusal
+    return out

@@ -251,32 +251,32 @@ def _disk_draw(rng, radius: float) -> complex:
 def coherent_rows(label: str, order: int, cutoff: int, tol: float, draws: int, seed: int) -> list:
     entry = family(label, max(order, _LEAST_ORDER))
     rng = _PCG64(seed + FAMILY_LABELS.index(label))
-    rows = []
-    first_params = None
-    for _ in range(draws):
-        params = CoherentParams(
+    params = [
+        CoherentParams(
             z=_disk_draw(rng, 1.0),
             zp=_disk_draw(rng, min(1.0, entry.z_guard)),
             lam=_disk_draw(rng, min(0.1, entry.lam_guard)),
         )
-        if first_params is None:
-            first_params = params
-        draw_rows = fock_verify(
-            entry.pair,
-            params,
-            cutoff=cutoff,
-            tol=tol,
-            maps=entry.maps,
-            z_guard=entry.z_guard,
-            lam_guard=entry.lam_guard,
-        )
+        for _ in range(draws)
+    ]
+    checked = fock_verify(
+        entry.pair,
+        params,
+        cutoff=cutoff,
+        tol=tol,
+        maps=entry.maps,
+        z_guard=entry.z_guard,
+        lam_guard=entry.lam_guard,
+    )
+    rows = []
+    for point, draw_rows in zip(params, checked):
         info = {
-            "z": [params.z.real, params.z.imag],
-            "zp": [params.zp.real, params.zp.imag],
-            "lam": [params.lam.real, params.lam.imag],
+            "z": [point.z.real, point.z.imag],
+            "zp": [point.zp.real, point.zp.imag],
+            "lam": [point.lam.real, point.lam.imag],
         }
         rows.extend(_tag(draw_rows, family=label, params=info))
-    rows.extend(_adjudication_rows(label, entry, first_params, cutoff))
+    rows.extend(_adjudication_rows(label, entry, params[0] if params else None, cutoff))
     return rows
 
 
@@ -297,14 +297,15 @@ def _adjudication_rows(label, entry, params, cutoff) -> list:
         return []
     space = FockSpace(cutoff)
     z, zp, lam = params.z, params.zp, params.lam
-    z_vec, _ = space.coherent_vec(z)
+    z_vec, zp_vec = space.coherent_vecs([z, zp])[0].T
     if label == "laguerre":
         # vacuum moments as multiples of <z|0>; with s_n = n!*L_n, the
         # alternative indexing n!*L_{n-1}(z*) equals n * s_{n-1}(z*)
         identity = "adjudication:vacuum_moment_indexing"
         s = [mono_element(entry.pair, n, 0, z.conjugate()) for n in range(7)]
         vac = np.exp(-abs(z) ** 2 / 2)
-        numeric = [complex(np.vdot(z_vec, w)) / vac for w in space.pair_moments(entry.pair)[0]]
+        numeric = [complex(np.vdot(z_vec, w)) / vac
+                   for w in space.pair_moments(entry.pair)[:, :6].T]
         variants = {
             "n_factorial_L_n": s[1:],
             "n_factorial_L_n_minus_1": [n * s[n - 1] for n in range(1, 7)],
@@ -313,7 +314,7 @@ def _adjudication_rows(label, entry, params, cutoff) -> list:
         # the coherent element with overlap, read with exponent
         # arctan(lambda + tan z') and with arctan(lambda * tan z')
         identity = "adjudication:coherent_exponent"
-        vec, _ = space.apply_exp(space.pair_matrix(entry.pair), lam, space.coherent_vec(zp)[0])
+        vec, _ = space.apply_exp(space.pair_matrix(entry.pair), [lam], zp_vec[:, None])
         numeric = [complex(np.vdot(z_vec, vec))]
         prefactor = cmath.cos(cmath.atan(lam + cmath.tan(zp))) / cmath.cos(zp)
         variant = (

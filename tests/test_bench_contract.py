@@ -23,6 +23,7 @@ workloads = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(workloads)
 
 SEED = 7
+HELDOUT_SEED = 20050429
 
 
 def _op(workload, **match):
@@ -31,11 +32,14 @@ def _op(workload, **match):
 
 
 # bessel is checked against the raising-operator route, the custom pair
-# against a pair rebuilt from its drawn coefficients
+# against a pair rebuilt from its drawn coefficients; verify-all runs every
+# suite at the development seed and at the held-out one
 OPERATIONS = {
     "exact-highorder-bessel": _op("exact-highorder", family="bessel"),
     "exact-highorder-custom": _op("exact-highorder", family="custom"),
     "normal-order-deep-hermite": _op("normal-order-deep", family="hermite"),
+    **{f"verify-all-{seed}-{op['suite']}": op
+       for seed in (SEED, HELDOUT_SEED) for op in workloads.operations("verify-all", seed)},
 }
 
 

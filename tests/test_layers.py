@@ -44,7 +44,8 @@ REMOVED_NAMES = (
     ("sheffer.series", "TruncatedSeries.from_json_dict"),
     ("sheffer.weyl", "WeylElement.to_json_list"),
     ("sheffer.fock", "FockSpace.a"), ("sheffer.fock", "FockSpace.adag"),
-    ("sheffer.fock", "FockSpace.weyl_matrix"),
+    ("sheffer.fock", "FockSpace.weyl_matrix"), ("sheffer.fock", "FockSpace.number_vec"),
+    ("sheffer.fock", "FockSpace.coherent_vec"),
     *(("sheffer.cli", name) for name in ("Num", "Var", "Neg", "BinOp", "Pow", "Call",
                                           "parse_spec", "pretty", "_eval_node")),
 )

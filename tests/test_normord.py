@@ -300,9 +300,9 @@ def test_fock_verify_refuses_a_coherent_series_value_past_its_estimate():
     guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     _, estimate = exp_element_coherent(entry.pair, params.z, params.zp, params.lam, **guards)
     assert estimate > 1e-8
-    fock_verify(entry.pair, params, maps=entry.maps, **guards)
+    fock_verify(entry.pair, [params], maps=entry.maps, **guards)
     with pytest.raises(GuardExceeded):
-        fock_verify(entry.pair, params, **guards)
+        fock_verify(entry.pair, [params], **guards)
 
 
 def test_fock_verify_refuses_a_ladder_past_float_range():
@@ -311,9 +311,9 @@ def test_fock_verify_refuses_a_ladder_past_float_range():
     x = TruncatedSeries.x(16)
     pair = ShefferPair(x + (x * x).scale(10**400), TruncatedSeries.one(16))
     with pytest.raises(GuardExceeded, match="image of M"):
-        fock_verify(pair, CoherentParams(0.1, 0.1, 0.01))
-    with pytest.raises(GuardExceeded, match="image of M"):
-        FockSpace(32).pair_matrix(pair, 0.1)
+        fock_verify(pair, [CoherentParams(0.1, 0.1, 0.01)])
+    with pytest.raises(OverflowError):
+        FockSpace(32).shifted_action(pair, [0.1], np.eye(32, 1))
 
 
 def test_fock_verify_evaluates_the_printed_moments_only_where_adjudicated(monkeypatch):
@@ -328,8 +328,8 @@ def test_fock_verify_evaluates_the_printed_moments_only_where_adjudicated(monkey
     monkeypatch.setattr(fock, "mono_element", counted)
     entry = family("bell", 16)
     params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
-    rows = fock_verify(entry.pair, params, maps=entry.maps,
-                       z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    [rows] = fock_verify(entry.pair, [params], maps=entry.maps,
+                         z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     assert rows_pass(rows)
     assert calls["mono_element"] == 12
 
@@ -350,7 +350,7 @@ def test_fock_verify_hashes_no_pair(monkeypatch):
     params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
     guards = dict(z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     for _ in range(2):
-        assert rows_pass(fock_verify(entry.pair, params, maps=entry.maps, **guards))
+        assert rows_pass(fock_verify(entry.pair, [params], maps=entry.maps, **guards)[0])
     assert hashes == []
 
 
@@ -380,10 +380,10 @@ def test_coherent_series_route_calls_no_series_kernel(monkeypatch):
     assert estimate <= 1e-8
     assert not counts
     # a cold fock_verify builds the pair's exact core; a warm one adds nothing
-    fock_verify(pair, params, **guards)
+    fock_verify(pair, [params], **guards)
     assert counts
     counts.clear()
-    assert rows_pass(fock_verify(pair, params, **guards))
+    assert rows_pass(fock_verify(pair, [params], **guards)[0])
     assert not counts
 
 
@@ -828,21 +828,22 @@ def test_weyl_images_multiply_on_the_stable_block():
 def test_exp_adag_columns_are_shifted_coherent_amplitudes():
     space = FockSpace(24)
     t = 0.4 - 0.3j
-    col = space.exp_adag(t) @ space.number_vec(0)
+    col = space.exp_adag(t) @ np.eye(24, 1)[:, 0]
     for m in range(24):
         assert abs(col[m] - t**m / math.sqrt(factorial(m))) < 1e-12
 
 
 def test_norm_is_numpys_bit_for_bit():
-    # apply_exp's norm restates numpy's; a numpy that changes its norm fails here
+    # apply_exp's column norms restate numpy's; a numpy that changes its norm fails here
     rng = np.random.default_rng(20050429)
-    for length in range(1, 129):
-        parts = rng.standard_normal((2, length))
-        for mags in (10.0 ** rng.uniform(-20, 20), 10.0 ** rng.uniform(-20, 20, length)):
-            v = mags * (parts[0] + 1j * parts[1])
-            assert fock._norm(v) == np.linalg.norm(v)
-    zero = np.zeros(16, dtype=complex)
-    assert fock._norm(zero) == np.linalg.norm(zero) == 0.0
+    for length in (1, 2, 31, 64, 129):
+        for width in (1, 3, 40):
+            parts = rng.standard_normal((2, length, width))
+            for mags in (10.0 ** rng.uniform(-20, 20), 10.0 ** rng.uniform(-20, 20, (length, 1))):
+                block = mags * (parts[0] + 1j * parts[1])
+                assert fock._norms(block).tobytes() == np.linalg.norm(block, axis=0).tobytes()
+    zero = np.zeros((16, 2), dtype=complex)
+    assert (fock._norms(zero) == 0.0).all()
 
 
 def test_apply_exp_matches_scipy_expm():
@@ -851,19 +852,28 @@ def test_apply_exp_matches_scipy_expm():
     space = FockSpace(32)
     pair = family("hermite", 16).pair
     mat = space.pair_matrix(pair)
-    vec, _ = space.coherent_vec(0.3 + 0.2j)
-    lam = 0.1 - 0.05j
-    direct = scipy.linalg.expm(lam * mat) @ vec
-    ours, tail = space.apply_exp(mat, lam, vec)
-    np.testing.assert_allclose(ours, direct, rtol=1e-10, atol=1e-12)
-    assert tail < 1e-12
+    vecs, _ = space.coherent_vecs([0.3 + 0.2j, -0.5j, 0.7])
+    block = np.hstack([vecs, np.eye(32, 2), np.zeros((32, 1))])
+    # each column has its own lambda; at |lambda| = 2 on |0> the effective
+    # norm is 4, so the second block is summed in four scaling steps
+    for top in (0.1 - 0.05j, 2.0):
+        lams = [0.1 - 0.05j, 0.2, -0.03j, top, 0.25, 0.1]
+        ours, tails = space.apply_exp(mat, lams, block)
+        for j, lam in enumerate(lams):
+            direct = scipy.linalg.expm(lam * mat) @ block[:, j]
+            np.testing.assert_allclose(ours[:, j], direct, rtol=1e-10, atol=1e-12)
+            # a column summed in the block is the column summed alone, to rounding
+            alone, _ = space.apply_exp(mat, [lam], block[:, j : j + 1])
+            np.testing.assert_allclose(ours[:, j], alone[:, 0], rtol=1e-13, atol=1e-15)
+        assert (tails < 1e-12).all()
+        assert not ours[:, -1].any() and tails[-1] == 0.0
 
 
 def test_fock_verify_hermite_spec_point():
     entry = family("hermite", 16)
-    rows = fock_verify(
+    [rows] = fock_verify(
         entry.pair,
-        CoherentParams(0.3, 0.2j, 0.1),
+        [CoherentParams(0.3, 0.2j, 0.1)],
         cutoff=64,
         tol=1e-8,
         maps=entry.maps,
@@ -877,9 +887,9 @@ def test_fock_verify_hermite_spec_point():
 
 def test_fock_overlap_at_lambda_zero():
     entry = family("bell", 16)
-    rows = fock_verify(
+    [rows] = fock_verify(
         entry.pair,
-        CoherentParams(0.7 - 0.1j, 0.5 + 0.4j, 0.0),
+        [CoherentParams(0.7 - 0.1j, 0.5 + 0.4j, 0.0)],
         cutoff=64,
         tol=1e-10,
         maps=entry.maps,
@@ -894,11 +904,11 @@ def test_fock_verify_guards_and_cutoff():
     entry = family("bessel", 16)
     good = CoherentParams(0.3, 0.1, 0.05)
     with pytest.raises(CutoffTooSmall):
-        fock_verify(entry.pair, good, cutoff=16, maps=entry.maps)
+        fock_verify(entry.pair, [good], cutoff=16, maps=entry.maps)
     with pytest.raises(GuardExceeded):
         fock_verify(
             entry.pair,
-            CoherentParams(0.3, 0.9, 0.05),
+            [CoherentParams(0.3, 0.9, 0.05)],
             maps=entry.maps,
             z_guard=entry.z_guard,
             lam_guard=entry.lam_guard,
@@ -906,7 +916,7 @@ def test_fock_verify_guards_and_cutoff():
     with pytest.raises(GuardExceeded):
         fock_verify(
             entry.pair,
-            CoherentParams(1.4, 0.1, 0.05),
+            [CoherentParams(1.4, 0.1, 0.05)],
             maps=entry.maps,
             z_guard=entry.z_guard,
             lam_guard=entry.lam_guard,
@@ -920,7 +930,103 @@ def test_fock_verify_guards_and_cutoff():
         (CoherentParams(0.3, 0.1, math.nan), r"\|lambda\| = nan"),
     ):
         with pytest.raises(GuardExceeded, match=named):
-            fock_verify(entry.pair, params, **guards)
+            fock_verify(entry.pair, [params], **guards)
+
+
+# -- a batch of draws against its draws one at a time ----------------------------
+
+
+def _disc(radius):
+    """Points of the closed disc |w| <= radius; rounding can put rect's point past it."""
+    return st.tuples(st.floats(0, 1), st.floats(0, 2 * math.pi)).map(
+        lambda polar: cmath.rect(radius * math.sqrt(polar[0]), polar[1])).filter(
+        lambda w: abs(w) <= radius)
+
+
+@st.composite
+def _suite_draws(draw):
+    """A family, 1-6 draws inside the coherent suite's discs and a cutoff."""
+    label = draw(st.sampled_from(FAMILY_LABELS))
+    entry = family(label, 16)
+    point = st.builds(CoherentParams, _disc(1.0), _disc(min(1.0, entry.z_guard)),
+                      _disc(min(0.1, entry.lam_guard)))
+    return entry, draw(st.lists(point, min_size=1, max_size=6)), draw(st.sampled_from([32, 64]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_suite_draws())
+def test_a_batch_equals_its_draws_one_at_a_time(case):
+    entry, draws, cutoff = case
+    kwargs = dict(cutoff=cutoff, maps=entry.maps, z_guard=entry.z_guard,
+                  lam_guard=entry.lam_guard)
+    batch = fock_verify(entry.pair, draws, **kwargs)
+    alone = [fock_verify(entry.pair, [params], **kwargs) for params in draws]
+    assert len(batch) == len(draws) and all(len(rows) == 1 for rows in alone)
+    for rows, [ref] in zip(batch, alone):
+        assert [row["identity"] for row in rows] == [row["identity"] for row in ref]
+        for row, want in zip(rows, ref):
+            assert row["pass"] == want["pass"]
+            assert row.get("matches_printed") == want.get("matches_printed")
+            assert abs(row["max_rel_err"] - want["max_rel_err"]) <= 1e-12
+
+
+def _first_refusal(pair, draws, **kwargs):
+    """(index, class, message) of the first draw that a batch of one refuses."""
+    for index, params in enumerate(draws):
+        try:
+            fock_verify(pair, [params], **kwargs)
+        except Exception as exc:  # noqa: BLE001 - the class is what is compared
+            return index, type(exc), str(exc)
+    return None
+
+
+def _overflowing_shift(original):
+    # the shifted action overflows on the columns shifted by |t| > 0.3
+    def shifted_action(self, pair, shifts, block):
+        out = original(self, pair, shifts, block)
+        out[:, np.abs(shifts) > 0.3] = np.inf
+        return out
+
+    return shifted_action
+
+
+def _refusing_weights(self, pair, shifts, block):
+    raise OverflowError("the Taylor-shift weights do not round to float")
+
+
+@pytest.mark.parametrize("refused", (0, 1, 3))
+@pytest.mark.parametrize("cause", ("guard", "coherent tail", "shifted action", "shift weights",
+                                   "series estimate"))
+def test_a_refused_batch_raises_what_the_serial_loop_raised_first(cause, refused, monkeypatch):
+    good = [CoherentParams(0.1 + 0.05j * k, 0.05 - 0.02j * k, 0.03 + 0.01j * k) for k in range(5)]
+    label, kwargs, bad = "bell", {}, None
+    if cause == "guard":
+        label, bad = "bessel", CoherentParams(0.3, 0.9, 0.05)
+    elif cause == "coherent tail":
+        kwargs, bad = dict(cutoff=32, tol=1e-30), CoherentParams(0.9, 0.1, 0.05)
+    elif cause == "shifted action":
+        monkeypatch.setattr(FockSpace, "shifted_action",
+                            _overflowing_shift(FockSpace.shifted_action))
+        bad = CoherentParams(0.2, 0.4j, 0.05)
+    elif cause == "shift weights":  # every draw refuses, so the first one does
+        monkeypatch.setattr(FockSpace, "shifted_action", _refusing_weights)
+    else:  # log(1+x) cut at order 16 is far off at z' = -0.9
+        kwargs, bad = dict(maps=None), CoherentParams(0.3, -0.9, 0.5)
+    entry = family(label, 16)
+    kwargs = {"maps": entry.maps, "z_guard": entry.z_guard, "lam_guard": entry.lam_guard,
+              **kwargs}
+    draws = list(good)
+    if bad is not None:
+        draws[refused] = bad
+        # a later draw that a guard would refuse changes nothing
+        draws[refused + 1] = CoherentParams(0.3, 0.1, 5.0)
+    index, cls, message = _first_refusal(entry.pair, draws, **kwargs)
+    assert index == (0 if bad is None else refused)
+    with pytest.raises(cls) as raised:
+        fock_verify(entry.pair, draws, **kwargs)
+    assert str(raised.value) == message
+    if cause == "shift weights":
+        assert message.startswith(f"image of M shifted by {draws[0].zp}")
 
 
 # -- the one-thread BLAS scope of the Fock layer --------------------------------
@@ -942,10 +1048,11 @@ def blas_threads():
 
 def _hermite_verify(params, **kwargs):
     entry = family("hermite", 16)
-    return fock_verify(
-        entry.pair, params, maps=entry.maps, z_guard=entry.z_guard,
+    [rows] = fock_verify(
+        entry.pair, [params], maps=entry.maps, z_guard=entry.z_guard,
         lam_guard=entry.lam_guard, **kwargs,
     )
+    return rows
 
 
 @needs_openblas
@@ -962,8 +1069,8 @@ def test_fock_numerics_run_on_one_blas_thread_and_restore_the_count(blas_threads
     assert blas_threads() == 2
     assert rows_pass(coherent_rows("hahn", order=16, cutoff=64, tol=1e-8, draws=1, seed=7))
     assert blas_threads() == 2
-    # four per fock_verify, and one for hahn's adjudication row outside it
-    assert seen == [1] * 9
+    # one block per fock_verify, and one for hahn's adjudication row outside it
+    assert seen == [1] * 3
 
 
 @needs_openblas
@@ -973,6 +1080,12 @@ def test_blas_thread_count_is_restored_when_the_call_raises(blas_threads):
     assert blas_threads() == 2
     with pytest.raises(CutoffTooSmall, match="coherent tail"):
         coherent_rows("hermite", order=16, cutoff=32, tol=1e-300, draws=1, seed=7)
+    assert blas_threads() == 2
+    # a batch whose second draw is refused, after its first is checked
+    entry = family("hermite", 16)
+    with pytest.raises(CutoffTooSmall, match="coherent tail"):
+        fock_verify(entry.pair, [CoherentParams(0.1, 0.1, 0.05), CoherentParams(0.9, 0.2, 0.1)],
+                    cutoff=32, tol=1e-30, maps=entry.maps)
     assert blas_threads() == 2
 
 
@@ -1128,12 +1241,17 @@ def test_compiled_closed_forms_match_the_per_call_route_bit_for_bit(label):
 
 @pytest.mark.parametrize("label", FAMILY_LABELS)
 def test_shifted_image_matches_the_exact_taylor_shift(label):
+    # the shifted action on |0>, |1> and |t/2> against the 60-digit shifted
+    # image times them, one shift t per column
     entry = family(label, 16)
     space = FockSpace(64)
-    for shift in _points(3, 3, min(1.0, entry.z_guard)):
-        got = space.pair_matrix(entry.pair, shift=shift)
+    shifts = _points(3, 3, min(1.0, entry.z_guard))
+    block = np.hstack([np.eye(64, 2).repeat(3, axis=1), space.coherent_vecs(np.divide(shifts, 2))[0]])
+    columns = np.tile(shifts, 3)
+    got = space.shifted_action(entry.pair, columns, block)
+    for j, shift in enumerate(columns):
         ref = ref_pair_matrix(space, entry.pair, shift)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(got[:, j] - ref @ block[:, j]).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_unshifted_image_is_the_matrix_horner_image_and_is_cached():
@@ -1146,12 +1264,10 @@ def test_unshifted_image_is_the_matrix_horner_image_and_is_cached():
         np.testing.assert_array_equal(image, ref_pair_matrix(space, pair, 0))
         assert FockSpace(48).pair_matrix(pair) is image
         assert not image.flags.writeable
-        # a zero shift is the unshifted image; the complex shift path agrees there
-        assert space.pair_matrix(pair, shift=0j) is image
-        k_weights, hk_weights = compile_pair(pair)._ladder_shift_weights
-        powers = fock._powers(0j, len(k_weights))
-        shifted = space._ladder_image(k_weights @ powers, hk_weights @ powers)
-        np.testing.assert_array_equal(shifted, image)
+        # at a zero shift the shifted action is the image on the vectors
+        block = np.hstack([np.eye(48, 3), space.coherent_vecs([0.3 - 0.2j])[0]])
+        got = space.shifted_action(pair, np.zeros(4), block)
+        assert np.abs(got - image @ block).max() <= 1e-13 * np.abs(image).max()
 
 
 @pytest.mark.parametrize("dim", [2, 5, 33, 64])
@@ -1274,11 +1390,12 @@ def test_shift_weights_past_float_range_raise_as_the_fraction_loop_does():
         ref_shift_weights(coeffs)
     with pytest.raises(OverflowError):
         fock._shift_weights(coeffs)
-    # and through the shifted image: GuardExceeded, not a bare OverflowError
+    # and through the shifted action, which fock_verify turns into the
+    # draw's GuardExceeded
     x = TruncatedSeries.x(16)
     pair = ShefferPair(x + (x * x).scale(10**400), TruncatedSeries.one(16))
-    with pytest.raises(GuardExceeded, match="image of M shifted"):
-        FockSpace(32).pair_matrix(pair, 0.1)
+    with pytest.raises(OverflowError):
+        FockSpace(32).shifted_action(pair, [0.1], np.eye(32, 1))
 
 
 class _CountedImage(np.ndarray):
@@ -1290,11 +1407,12 @@ class _CountedImage(np.ndarray):
 
 
 def test_a_second_draw_reuses_the_moment_vectors(monkeypatch):
-    # M^n|l> for n = 1..6, l = 0..2 is built once per pair and cutoff, so the
-    # same draw again makes all of its image products but those 18
+    # M^n|l> for n = 1..6, l = 0..2 is built once per pair and cutoff, by six
+    # products with the block of |0>, |1> and |2>, so the same draw again
+    # makes all of its image products but those 6
     original = FockSpace.pair_matrix
-    monkeypatch.setattr(FockSpace, "pair_matrix", lambda self, pair, shift=None: (
-        original(self, pair, shift).view(_CountedImage)))
+    monkeypatch.setattr(FockSpace, "pair_matrix", lambda self, pair: (
+        original(self, pair).view(_CountedImage)))
     entry = family("laguerre", 16)
     pair = ShefferPair(entry.pair.f, entry.pair.g)
     params = CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)
@@ -1302,10 +1420,15 @@ def test_a_second_draw_reuses_the_moment_vectors(monkeypatch):
     runs = []
     for _ in range(2):
         _CountedImage.products = 0
-        runs.append((fock_verify(pair, params, **guards), _CountedImage.products))
+        runs.append((fock_verify(pair, [params], **guards), _CountedImage.products))
     (first, first_products), (second, second_products) = runs
     assert second == first
-    assert first_products - second_products == 18
+    assert first_products - second_products == 6
     assert set(compile_pair(pair).moments) == {64}
-    for ladder in compile_pair(pair).moments[64]:
-        assert len(ladder) == 6 and not any(w.flags.writeable for w in ladder)
+    moments = compile_pair(pair).moments[64]
+    assert moments.shape == (64, 18) and not moments.flags.writeable
+    for l in range(3):
+        w = np.eye(64)[:, l]
+        for n in range(6):
+            w = original(FockSpace(64), pair) @ w
+            np.testing.assert_allclose(moments[:, 6 * l + n], w, rtol=1e-14, atol=1e-14)

@@ -303,8 +303,8 @@ def test_a_dropped_pair_frees_its_core():
     # so does a pair whose Fock data fock_verify compiled
     entry = family("hermite", 16)
     pair = fresh(entry.pair)
-    rows = fock_verify(pair, CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05), maps=entry.maps,
-                       z_guard=entry.z_guard, lam_guard=entry.lam_guard)
+    [rows] = fock_verify(pair, [CoherentParams(0.3 + 0.1j, 0.2 - 0.1j, 0.05)], maps=entry.maps,
+                         z_guard=entry.z_guard, lam_guard=entry.lam_guard)
     assert rows_pass(rows) and "_compiled" in vars(pair)
     ref = weakref.ref(pair)
     del pair
