@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 from . import suites
 from .catalog import FAMILY_LABELS, _record, family
@@ -281,18 +280,15 @@ _MAX_ORDER = 512
 _MAX_DRAWS = 1000
 
 
-@dataclass
 class RunConfig:
-    order: int = 16
-    lam_order: int = 6
-    a_order: int = 8
-    cutoff: int = 64
-    tol: float = 1e-8
-    fmt: str = "json"
-    draws: int = 10
-    seed: int = 7
+    """The settings of a run, validated; the defaults are the CLI's."""
 
-    def __post_init__(self):
+    __slots__ = ("order", "lam_order", "a_order", "cutoff", "tol", "fmt", "draws", "seed")
+
+    def __init__(self, order: int = 16, lam_order: int = 6, a_order: int = 8, cutoff: int = 64,
+                 tol: float = 1e-8, fmt: str = "json", draws: int = 10, seed: int = 7):
+        self.order, self.lam_order, self.a_order, self.cutoff = order, lam_order, a_order, cutoff
+        self.tol, self.fmt, self.draws, self.seed = tol, fmt, draws, seed
         for name, top in (("order", _MAX_ORDER), ("lam_order", _MAX_ORDER), ("a_order", _MAX_ORDER),
                           ("cutoff", _MAX_CUTOFF), ("draws", _MAX_DRAWS)):
             value = getattr(self, name)
@@ -308,6 +304,20 @@ class RunConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 # One row per RunConfig field: its flag, its environment variable, the type of

@@ -20,9 +20,10 @@ depend on the coherent-state parameters sits in one ``CompiledPair``, which
 ``compile_pair`` keeps in the pair's instance ``__dict__`` beside its exact
 core, so no lookup hashes the pair and the data goes with it. Its parts are
 built on first use in exact arithmetic and rounded to complex: finv and
-1/g(finv), the sequence s_n, the chains M^k x^l (for l = 0 the sequence
-itself, since M^k 1 = s_k; for l >= 1 from one raising operator at the top
-usable degree), the exact k = 1/f' and h*k with binomial-weighted matrices
+1/g(finv), the sequence s_n, the chains M^k x^l (by the monomiality
+principle M^k s_j = s_{j+k}: for l = 0 the sequence itself, for l >= 1
+sums of the s_{j+k} with the weights that write x^l in the s_j, no operator
+applied), the exact k = 1/f' and h*k with binomial-weighted matrices
 for their Taylor shift, the truncated f, f' and g of the coherent series
 route, and, for each Fock cutoff, the image of M and the moment vectors
 M^n|l> of ``fock_verify``. The exact series
@@ -72,26 +73,41 @@ import math
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 import numpy as np
 
 from .catalog import ClosedMaps
 from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded, check_guard
-from .series import Polynomial, SeriesValue, _common_denominator
-from .sequences import ShefferPair, build_M, sequence_via_egf
-from .weyl import WeylElement
+from .series import SeriesValue, _common_denominator, _Frozen, _set_field
+from .sequences import ShefferPair, sequence_via_egf
 
 
-@dataclass(frozen=True)
-class CoherentParams:
+class CoherentParams(_Frozen):
     """Arguments of a coherent-state matrix element <z| ... |z'>."""
 
-    z: complex
-    zp: complex
-    lam: complex
+    __slots__ = ("z", "zp", "lam")
+
+    def __init__(self, z: complex, zp: complex, lam: complex):
+        _set_field(self, "z", z)
+        _set_field(self, "zp", zp)
+        _set_field(self, "lam", lam)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        # as tuples, so that a field compares equal to itself even when it is a nan
+        return (self.z, self.zp, self.lam) == (other.z, other.zp, other.lam)
+
+    def __hash__(self):
+        return hash((self.z, self.zp, self.lam))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(z={self.z!r}, zp={self.zp!r}, lam={self.lam!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.z, self.zp, self.lam)
 
 
 def overlap(z: complex, zp: complex) -> complex:
@@ -198,6 +214,36 @@ def _lambda_sum(table, lam: complex, zstar: complex, l: int) -> complex:
     return acc / math.sqrt(factorial(l))
 
 
+def _monomial_chain(polys, l: int, length: int) -> list:
+    """Rounded M^k x^l for k = 0 .. length-1, from the exact sequence ``polys``.
+
+    By the monomiality principle M^k s_j = s_{j+k}, so x^l = sum_{j<=l} c_j s_j
+    gives M^k x^l = sum_j c_j s_{j+k}. The c_j come by back substitution,
+    since s_j has degree j and a nonzero leading coefficient. Each
+    coefficient is summed exactly on the integer numerators of the s_j and
+    rounded once, to the bits ``complex(Fraction)`` gives and with its
+    OverflowError past the float range.
+    """
+    weights = [None] * (l + 1)
+    for j in range(l, -1, -1):
+        target = 1 if j == l else 0
+        rest = target - sum(weights[m] * polys[m].coeffs[j] for m in range(j + 1, l + 1))
+        weights[j] = rest / polys[j].coeffs[j]
+    rows = [_common_denominator(p.coeffs) for p in polys[: l + length]]
+    chain = []
+    for k in range(length):
+        terms = [(c.numerator, c.denominator * rows[j + k][1], rows[j + k][0])
+                 for j, c in enumerate(weights) if c]
+        den = lcm(*[d for _, d, _ in terms])
+        out = [0] * (k + l + 1)
+        for num, d, nums in terms:
+            scale = num * (den // d)
+            for i, v in enumerate(nums):
+                out[i] += scale * v
+        chain.append([complex(v / den) for v in out])
+    return chain
+
+
 class CompiledPair:
     """What the closed forms and the Fock verifier need from one pair.
 
@@ -207,8 +253,10 @@ class CompiledPair:
     series come from the pair's cached ``finv``, ``prefactor`` and
     ``ladder``, so they are built once per pair object. A Horner sum over
     the rounded coefficients gives the same bits as Horner evaluation of
-    the exact polynomial at a complex point. The chain M^k 1 is read from
-    the sequence: by the monomiality principle it is s_k. Per Fock cutoff,
+    the exact polynomial at a complex point. The chains M^k x^l come from
+    the sequence by the monomiality principle: M^k 1 is s_k, and M^k x^l is
+    sum_j c_j s_{j+k} where x^l = sum_j c_j s_j (``_monomial_chain``), so no
+    raising operator is built or applied. Per Fock cutoff,
     ``images`` holds the image of M, which ``FockSpace.pair_matrix`` fills,
     and ``moments`` the block whose columns are the vectors M^n|l> that
     ``fock_verify`` checks, which ``FockSpace.pair_moments`` fills. The
@@ -231,27 +279,22 @@ class CompiledPair:
     def _sequence(self) -> list:
         return [_rounded(p.coeffs) for p in sequence_via_egf(self.pair, self.order).polys]
 
-    @cached_property
-    def _raising(self) -> WeylElement:
-        # M^k x^l is the same polynomial at every D-truncation >= k + l, so
-        # one M at the top usable degree serves every chain
-        return build_M(self.pair, self.order - 1)
-
     def _chain(self, l: int) -> list:
-        """Rounded M^k x^l for k = 0 .. order-1-l; M^k 1 is s_k (monomiality)."""
+        """Rounded M^k x^l for k = 0 .. order-1-l; M^k 1 is s_k (monomiality).
+
+        The chains l >= 1 come from ``_monomial_chain`` on one exact
+        sequence, built for the first of them that is asked for and dropped
+        after it has served every chain the Fock verifier reads (l <= _L_MAX).
+        """
         if l < 0:
             raise IndexOutOfRange(f"number state |{l}> does not exist")
         if l == 0:
             return self._sequence[: self.order]
-        chain = self._chains.get(l)
-        if chain is None:
-            poly = Polynomial.monomial(l)
-            chain = [_rounded(poly.coeffs)]
-            for _ in range(self.order - 1 - l):
-                poly = self._raising.apply(poly)
-                chain.append(_rounded(poly.coeffs))
-            self._chains[l] = chain
-        return chain
+        if l not in self._chains:
+            polys = sequence_via_egf(self.pair, self.order - 1).polys
+            for m in sorted({l, *range(1, min(_L_MAX, self.order - 1) + 1)} - self._chains.keys()):
+                self._chains[m] = _monomial_chain(polys, m, self.order - m)
+        return self._chains[l]
 
     @cached_property
     def _coherent_parts(self) -> tuple:

@@ -28,38 +28,49 @@ degrees raise ``IndexOutOfRange`` before any of it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, perm
 
 from .errors import IndexOutOfRange, NotInvertible, OrderExceeded, ZeroConstantTerm
-from .series import Polynomial, TruncatedSeries, _common_denominator, _iconv
+from .series import Polynomial, TruncatedSeries, _common_denominator, _Frozen, _iconv, _set_field
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class ShefferPair:
-    """Validated (f, g) pair; g is normalized so that g(0) = 1."""
+class ShefferPair(_Frozen):
+    """Validated (f, g) pair; g is normalized so that g(0) = 1.
 
-    f: TruncatedSeries
-    g: TruncatedSeries
-    label: str | None = None
-    rescaled: bool = field(default=False, compare=False)
+    ``rescaled`` says whether g was divided by its g(0) to get there; it
+    stays out of equality and hash. The pair has no ``__slots__``: its
+    instance ``__dict__`` holds the fields, the cached core and the
+    compiled Fock data, and it can be weakly referenced.
+    """
 
-    def __post_init__(self):
-        if self.f.constant_term:
+    def __init__(self, f: TruncatedSeries, g: TruncatedSeries, label: str | None = None):
+        if f.constant_term:
             raise NotInvertible("f(0) must be 0")
-        if self.f.order < 1 or not self.f.coefficient(1):
+        if f.order < 1 or not f.coefficient(1):
             raise NotInvertible("f'(0) must be nonzero")
-        g0 = self.g.constant_term
+        g0 = g.constant_term
         if not g0:
             raise ZeroConstantTerm("g(0) must be nonzero")
         if g0 != 1:
-            object.__setattr__(self, "g", self.g.scale(Fraction(1) / g0))
-            object.__setattr__(self, "rescaled", True)
+            g = g.scale(Fraction(1) / g0)
+        vars(self).update(f=f, g=g, label=label, rescaled=g0 != 1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.f == other.f and self.g == other.g and self.label == other.label
+
+    def __hash__(self):
+        return hash((self.f, self.g, self.label))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}(f={self.f!r}, g={self.g!r}, "
+                f"label={self.label!r}, rescaled={self.rescaled!r})")
 
     @property
     def order(self) -> int:
@@ -93,12 +104,28 @@ class ShefferPair:
         return k_ser, (h_ser * k_ser).truncate(top)
 
 
-@dataclass(frozen=True)
-class ShefferSequence:
+class ShefferSequence(_Frozen):
     """Polynomials s_0..s_N generated from a pair; degree(s_n) = n."""
 
-    polys: tuple
-    pair: ShefferPair
+    __slots__ = ("polys", "pair")
+
+    def __init__(self, polys: tuple, pair: ShefferPair):
+        _set_field(self, "polys", polys)
+        _set_field(self, "pair", pair)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.polys == other.polys and self.pair == other.pair
+
+    def __hash__(self):
+        return hash((self.polys, self.pair))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(polys={self.polys!r}, pair={self.pair!r})"
+
+    def __reduce__(self):
+        return self.__class__, (self.polys, self.pair)
 
     def poly(self, n: int) -> Polynomial:
         if not 0 <= n < len(self.polys):

@@ -54,15 +54,24 @@ EXACT_MODULES = ("series", "weyl", "sequences", "catalog", "normord", "multivar"
 
 
 def test_import_sheffer_loads_no_numpy_and_resolves_every_name():
+    # the value types are plain classes: no module imports dataclasses, whose
+    # import loads inspect, and the package's start-up loads neither
+    found = [path.name for path in (SRC / "sheffer").glob("*.py")
+             if any(name == "dataclasses" for name, _ in _imported_modules(path))]
+    assert not found, f"{found} import dataclasses"
     script = f"""
 import sys
 import sheffer
 assert "numpy" not in sys.modules, "import sheffer loaded numpy"
+loaded = [name for name in ("dataclasses", "inspect") if name in sys.modules]
+assert not loaded, f"import sheffer loaded {{loaded}}"
 from sheffer import FockSpace, fock_verify
 import sheffer.fock
 assert FockSpace is sheffer.fock.FockSpace and fock_verify is sheffer.fock.fock_verify
 missing = [name for name in {PACKAGE_NAMES!r} if not hasattr(sheffer, name)]
 assert not missing, missing
+import sheffer.cli
+assert "dataclasses" not in sys.modules, "import sheffer.cli loaded dataclasses"
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(

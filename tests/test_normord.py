@@ -1297,7 +1297,8 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(fock, "build_M", counted("build_M", build_M))
+    monkeypatch.setattr(
+        fock, "sequence_via_egf", counted("sequence_via_egf", fock.sequence_via_egf))
     monkeypatch.setattr(
         TruncatedSeries, "comp_inverse", counted("comp_inverse", TruncatedSeries.comp_inverse)
     )
@@ -1312,7 +1313,9 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
         assert rows_pass(rows)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    assert seen[0]["build_M"] == 1
+    # one exact sequence for s_n, one for the chains M^k x^l; no Weyl action
+    assert seen[0]["sequence_via_egf"] == 2
+    assert "apply" not in seen[0]
 
 
 def test_printed_closed_form_checks_its_indices():
@@ -1338,6 +1341,20 @@ def test_compiled_closed_forms_reject_negative_indices():
 # -- draw-independent Fock data, built once per pair ---------------------------------
 
 
+def ref_raising_chain(pair, l):
+    """Rounded M^k x^l for k = 0 .. order-1-l, by the raising operator at the top degree."""
+    m_op = build_M(pair, pair.order - 1)
+    poly, chain = Polynomial.monomial(l), []
+    for _ in range(pair.order - l):
+        chain.append([complex(c) for c in poly.coeffs])
+        poly = m_op.apply(poly)
+    return chain
+
+
+def _chain_bits(chain):
+    return [np.array(row, dtype=complex).tobytes() for row in chain]
+
+
 @pytest.mark.parametrize("label", FAMILY_LABELS)
 def test_the_vacuum_chain_is_the_sequence(label, monkeypatch):
     # monomiality: M^k 1 = s_k, so the chain at l = 0 needs no raising operator
@@ -1349,12 +1366,41 @@ def test_the_vacuum_chain_is_the_sequence(label, monkeypatch):
     chain = compiled._chain(0)
     assert applied == []
     assert chain == compiled._sequence[: compiled.order]
-    # the chain M^k 1 the raising operator gives, rounded
-    poly, ref = Polynomial.monomial(0), []
-    for _ in range(compiled.order):
-        ref.append([complex(c) for c in poly.coeffs])
-        poly = original(compiled._raising, poly)
-    assert chain == ref
+    monkeypatch.undo()
+    assert _chain_bits(chain) == _chain_bits(ref_raising_chain(entry.pair, 0))
+
+
+@pytest.mark.parametrize("order", [16, 20, 32])
+@pytest.mark.parametrize("label", FAMILY_LABELS)
+def test_chains_are_the_raising_operators_bit_for_bit(label, order):
+    pair = family(label, order).pair
+    compiled = compile_pair(ShefferPair(pair.f, pair.g))
+    for l in (1, 2, 3, order - 2, order - 1):
+        assert _chain_bits(compiled._chain(l)) == _chain_bits(ref_raising_chain(pair, l)), l
+
+
+@settings(max_examples=40, deadline=None)
+@given(strat.sheffer_pairs(), st.integers(1, 9))
+def test_chains_of_any_pair_are_the_raising_operators_bit_for_bit(pair, l):
+    chain = compile_pair(pair)._chain(l)
+    assert _chain_bits(chain) == _chain_bits(ref_raising_chain(pair, l))
+    assert len(chain) == pair.order - l
+
+
+def test_one_exact_sequence_serves_every_chain_the_verifier_reads(monkeypatch):
+    calls = []
+    original = fock.sequence_via_egf
+    monkeypatch.setattr(fock, "sequence_via_egf", lambda *args: calls.append(args) or original(*args))
+    pair = family("bessel", 16).pair
+    compiled = compile_pair(ShefferPair(pair.f, pair.g))
+    first = compiled._chain(2)
+    assert compiled._chain(1) and compiled._chain(2) is first
+    assert len(calls) == 1
+    compiled._chain(5)  # past the verifier's states: a sequence of its own
+    assert len(calls) == 2
+    # no exact table stays on the compiled pair: only the rounded chains
+    assert set(vars(compiled)) == {"pair", "order", "_chains", "images", "moments"}
+    assert {type(c) for chain in compiled._chains.values() for row in chain for c in row} == {complex}
 
 
 def ref_shift_weights(coeffs):
