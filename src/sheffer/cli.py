@@ -41,6 +41,7 @@ from .normord import normal_order_lhs
 from .sequences import ShefferPair, sequence_via_egf, sheffer_coeffs
 from .series import (
     TruncatedSeries,
+    _Fields,
     arctan_series,
     cos_series,
     exp_series,
@@ -275,12 +276,12 @@ _MAX_CUTOFF = 1024  # FockSpace holds dense cutoff x cutoff complex matrices: 16
 # 21 s (two-core Xeon); 10^8 would allocate a 10^8-entry list before any arithmetic
 _MAX_ORDER = 512
 # Largest coherent-state draw count. Every row is held until the end:
-# ``verify coherent --draws 1000`` takes 5 s and peaks at 101 MB over the seven
+# ``verify coherent --draws 1000`` takes 6 s and peaks at 100 MB over the seven
 # families (two-core Xeon), so 10^8 draws would run for days and run out of memory
 _MAX_DRAWS = 1000
 
 
-class RunConfig:
+class RunConfig(_Fields):
     """The settings of a run, validated; the defaults are the CLI's."""
 
     __slots__ = ("order", "lam_order", "a_order", "cutoff", "tol", "fmt", "draws", "seed")
@@ -305,19 +306,7 @@ class RunConfig:
         if self.fmt not in ("json", "csv"):
             raise ValueError("format must be json or csv")
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
     __hash__ = None  # mutable, so unhashable
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"{self.__class__.__qualname__}({fields})"
 
 
 # One row per RunConfig field: its flag, its environment variable, the type of

@@ -80,11 +80,11 @@ import numpy as np
 
 from .catalog import ClosedMaps
 from .errors import CutoffTooSmall, GuardExceeded, IndexOutOfRange, OrderExceeded, check_guard
-from .series import SeriesValue, _common_denominator, _Frozen, _set_field
+from .series import SeriesValue, _common_denominator, _Fields, _Frozen, _set_field
 from .sequences import ShefferPair, sequence_via_egf
 
 
-class CoherentParams(_Frozen):
+class CoherentParams(_Fields, _Frozen):
     """Arguments of a coherent-state matrix element <z| ... |z'>."""
 
     __slots__ = ("z", "zp", "lam")
@@ -93,21 +93,6 @@ class CoherentParams(_Frozen):
         _set_field(self, "z", z)
         _set_field(self, "zp", zp)
         _set_field(self, "lam", lam)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        # as tuples, so that a field compares equal to itself even when it is a nan
-        return (self.z, self.zp, self.lam) == (other.z, other.zp, other.lam)
-
-    def __hash__(self):
-        return hash((self.z, self.zp, self.lam))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(z={self.z!r}, zp={self.zp!r}, lam={self.lam!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.z, self.zp, self.lam)
 
 
 def overlap(z: complex, zp: complex) -> complex:
@@ -277,21 +262,24 @@ class CompiledPair:
 
     @cached_property
     def _sequence(self) -> list:
-        return [_rounded(p.coeffs) for p in sequence_via_egf(self.pair, self.order).polys]
+        # the exact s_n stay in _polys until _chain builds the chains from them
+        self._polys = sequence_via_egf(self.pair, self.order).polys
+        return [_rounded(p.coeffs) for p in self._polys]
 
     def _chain(self, l: int) -> list:
         """Rounded M^k x^l for k = 0 .. order-1-l; M^k 1 is s_k (monomiality).
 
-        The chains l >= 1 come from ``_monomial_chain`` on one exact
-        sequence, built for the first of them that is asked for and dropped
-        after it has served every chain the Fock verifier reads (l <= _L_MAX).
+        The chains l >= 1 come from ``_monomial_chain`` on the exact sequence
+        that ``_sequence`` built, which the first of them to be asked for
+        drops after building every chain the Fock verifier reads
+        (l <= _L_MAX). A chain asked for with no sequence kept builds one.
         """
         if l < 0:
             raise IndexOutOfRange(f"number state |{l}> does not exist")
         if l == 0:
             return self._sequence[: self.order]
         if l not in self._chains:
-            polys = sequence_via_egf(self.pair, self.order - 1).polys
+            polys = vars(self).pop("_polys", None) or sequence_via_egf(self.pair, self.order - 1).polys
             for m in sorted({l, *range(1, min(_L_MAX, self.order - 1) + 1)} - self._chains.keys()):
                 self._chains[m] = _monomial_chain(polys, m, self.order - m)
         return self._chains[l]

@@ -25,8 +25,7 @@ from operator import mul
 
 from .errors import OrderExceeded
 from .series import TruncatedSeries, _common_denominator, _iconv, _kpack, _kunpack, _kwidth
-from .sequences import ShefferPair, _check_degree, build_M
-from .weyl import WeylElement
+from .sequences import ShefferPair, _check_degree
 
 _ZERO = Fraction(0)
 
@@ -208,12 +207,11 @@ def _lhs_rows(pair: ShefferPair, lam_order: int, a_order: int) -> list:
     ``normal_order_lhs``."""
     _check_orders(pair, lam_order, a_order)
     depth = lam_order + a_order
-    # the lambda^0 term needs no M; from lambda^1 on, depth - 1 >= 0
-    m_op = build_M(pair, depth - 1) if lam_order else WeylElement.zero()
-    m_num, m_den = _common_denominator(list(m_op.terms.values()))
-    k, d = [0] * depth, [0] * depth  # numerators of X*D^t and of D^t in M
-    for (i, t), c in zip(m_op.terms, m_num):
-        (k if i else d)[t] = c
+    # M = X*k(D) - (h*k)(D) from the pair's ladder, cut at D^(depth - 1): the
+    # numerators of X*D^t and of D^t; the lambda^0 term needs no M
+    k_coeffs, hk_coeffs = (ser.coeffs[:depth] for ser in pair.ladder) if lam_order else ((), ())
+    m_num, m_den = _common_denominator([*k_coeffs, *(-c for c in hk_coeffs)])
+    k, d = m_num[:depth], m_num[depth:]
 
     power, den = [[1] + [0] * depth], 1
     out = [([power[0][: a_order + 1]], den)]
@@ -240,8 +238,9 @@ def normal_order_lhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
     """Brute-force normally ordered form of exp(lam*M).
 
     Expands sum lam^n M^n / n! with M read as a boson operator, deliberately
-    independent of the coherent-state route. M = X*k(D) - (h*k)(D) is built
-    once and is linear in X, so M^n keeps one integer row in D per X-power,
+    independent of the coherent-state route. M = X*k(D) - (h*k)(D) comes
+    from the pair's ladder series k and h*k, put over one denominator; it
+    is linear in X, so M^n keeps one integer row in D per X-power,
     and the next power is the previous one times M from the right. Since
     D^j X = X D^j + j D^(j-1), the X^i row of M^(n+1) is
     (row_(i-1) + row_i') * k + row_i * (-h*k), with ' the derivative in D.
@@ -249,7 +248,7 @@ def normal_order_lhs(pair: ShefferPair, lam_order: int, a_order: int) -> Normall
     D-power above cap = a_order + lam_order - n can never come back to the
     recorded D-powers (<= a_order); every row is truncated at cap. The
     same cap never lets a D^(lam_order + a_order) term of M contribute, so
-    M is built at D-truncation lam_order + a_order - 1, and series order
+    M is cut at D^(lam_order + a_order - 1), and series order
     lam_order + a_order suffices, as for ``normal_order_rhs``. The row
     products run on Kronecker-packed rows (``_kpack``), and the rows stay
     integers over one running common denominator, reduced by their gcd

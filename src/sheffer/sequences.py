@@ -33,7 +33,7 @@ from functools import cached_property
 from math import gcd, perm
 
 from .errors import IndexOutOfRange, NotInvertible, OrderExceeded, ZeroConstantTerm
-from .series import Polynomial, TruncatedSeries, _common_denominator, _Frozen, _iconv, _set_field
+from .series import Polynomial, TruncatedSeries, _common_denominator, _Fields, _Frozen, _iconv, _set_field
 from .weyl import WeylElement, weyl_mul
 
 _ZERO = Fraction(0)
@@ -104,7 +104,7 @@ class ShefferPair(_Frozen):
         return k_ser, (h_ser * k_ser).truncate(top)
 
 
-class ShefferSequence(_Frozen):
+class ShefferSequence(_Fields, _Frozen):
     """Polynomials s_0..s_N generated from a pair; degree(s_n) = n."""
 
     __slots__ = ("polys", "pair")
@@ -112,20 +112,6 @@ class ShefferSequence(_Frozen):
     def __init__(self, polys: tuple, pair: ShefferPair):
         _set_field(self, "polys", polys)
         _set_field(self, "pair", pair)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.polys == other.polys and self.pair == other.pair
-
-    def __hash__(self):
-        return hash((self.polys, self.pair))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}(polys={self.polys!r}, pair={self.pair!r})"
-
-    def __reduce__(self):
-        return self.__class__, (self.polys, self.pair)
 
     def poly(self, n: int) -> Polynomial:
         if not 0 <= n < len(self.polys):

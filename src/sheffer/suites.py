@@ -382,19 +382,18 @@ def evolution_rows() -> list:
             {"family": "all", "identity": "evolution_routes_agree",
              "seed": idx, "y_order": 8, "pass": agree}
         )
+    _, m_op = _bessel_ops(4 + 6 + 1)  # 1/(1 - D) past degree 10, that of M^6 q
     for idx, q in enumerate(
         [Polynomial.one(), Polynomial.from_coeffs([0, 1, 2]), Polynomial.from_coeffs([3, 0, 0, 0, 1])]
     ):
-        _, m_op = _bessel_ops(4 + 6 + 1)  # 1/(1 - D) past degree 10, that of M^6 q
-        poly = q
-        ok = True
-        for n in range(1, 7):
-            poly = m_op.apply(poly)
-            if pi_recursion(q, n) != poly:
-                ok = False
+        # M^n q against n smoothing steps, both sides one step further per n
+        poly = smooth = q
+        for _ in range(6):
+            poly, smooth = m_op.apply(poly), pi_recursion(smooth, 1)
+            if smooth != poly:
                 break
         rows.append(
             {"family": "all", "identity": "smoothing_recursion_equals_operator_power",
-             "seed": idx, "depth": 6, "pass": ok}
+             "seed": idx, "depth": 6, "pass": smooth == poly}
         )
     return rows

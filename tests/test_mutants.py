@@ -8,10 +8,12 @@ by an identity that breaks. A pair keeps its compiled Fock data, so every
 test runs on catalog pairs built afresh and drops them afterwards.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from sheffer import family
+from sheffer import family, fock
 from sheffer.fock import CompiledPair, FockSpace
 from sheffer.suites import coherent_rows
 
@@ -28,6 +30,22 @@ def _weights_cut_at_six(self):
         weights[:, 6:] = 0.0
         cut.append(weights)
     return tuple(cut)
+
+
+def _chain_without_s0(polys, l, length):
+    """M^k x^l as sum_j c_j s_(j+k), with the back substitution stopped before c_0."""
+    weights = [Fraction(0)] * (l + 1)
+    for j in range(l, 0, -1):
+        rest = (j == l) - sum(weights[m] * polys[m].coeffs[j] for m in range(j + 1, l + 1))
+        weights[j] = rest / polys[j].coeffs[j]
+    chain = []
+    for k in range(length):
+        out = [Fraction(0)] * (k + l + 1)
+        for j, c in enumerate(weights):
+            for i, v in enumerate(polys[j + k].coeffs):
+                out[i] += c * v
+        chain.append([complex(v) for v in out])
+    return chain
 
 
 # name: (owner, attribute, wrong version, families, identity, seed)
@@ -57,6 +75,11 @@ MUTANTS = {
     "image of k cut to 8 terms": (
         FockSpace, "_ladder_image", lambda self, k, hk: _ladder_image(self, k[:8], hk),
         ("lower_factorial", "idempotent"), "exp_coherent", 7,
+    ),
+    # bell's x^l have no s_0 part, so it passes under this mutant
+    "monomial chain without the s_0 weight": (
+        fock, "_monomial_chain", _chain_without_s0,
+        ("hermite", "laguerre"), "moments_state_operator_l2", 7,
     ),
 }
 

@@ -621,7 +621,7 @@ def test_normal_order_lhs_matches_the_weyl_mul_chain_on_random_pairs(pair, lam_o
 
 
 @pytest.mark.parametrize("lam_order", (1, 8))
-def test_normal_order_lhs_multiplies_weyl_elements_only_in_build_M(lam_order, monkeypatch):
+def test_normal_order_lhs_reads_M_from_the_ladder(lam_order, monkeypatch):
     counts = Counter()
 
     def counted(name, fn):
@@ -631,13 +631,14 @@ def test_normal_order_lhs_multiplies_weyl_elements_only_in_build_M(lam_order, mo
 
         return wrapper
 
-    monkeypatch.setattr(normord, "build_M", counted("build_M", build_M))
     product = weyl.weyl_mul
     monkeypatch.setattr(weyl, "weyl_mul", counted("weyl_mul", product))
     for module in (sequences, normord):
+        monkeypatch.setattr(module, "build_M", counted("build_M", build_M), raising=False)
         monkeypatch.setattr(module, "weyl_mul", counted("weyl_mul", product), raising=False)
     normal_order_lhs(family("idempotent", 16).pair, lam_order, 6)
-    assert counts == {"build_M": 1, "weyl_mul": 1}
+    # no Weyl element is built: M's rows are the ladder series k and -h*k
+    assert not counts
 
 
 # -- the packed row kernels against the loops they replaced ----------------------
@@ -1313,8 +1314,8 @@ def test_coherent_draws_do_no_exact_work(label, monkeypatch):
         assert rows_pass(rows)
         seen.append(dict(counts))
     assert seen[0] == seen[1]
-    # one exact sequence for s_n, one for the chains M^k x^l; no Weyl action
-    assert seen[0]["sequence_via_egf"] == 2
+    # one exact sequence, for s_n and the chains M^k x^l; no Weyl action
+    assert seen[0]["sequence_via_egf"] == 1
     assert "apply" not in seen[0]
 
 
@@ -1401,6 +1402,28 @@ def test_one_exact_sequence_serves_every_chain_the_verifier_reads(monkeypatch):
     # no exact table stays on the compiled pair: only the rounded chains
     assert set(vars(compiled)) == {"pair", "order", "_chains", "images", "moments"}
     assert {type(c) for chain in compiled._chains.values() for row in chain for c in row} == {complex}
+
+
+def test_the_chains_read_the_sequence_that_the_printed_forms_built(monkeypatch):
+    calls = []
+    original = fock.sequence_via_egf
+    monkeypatch.setattr(fock, "sequence_via_egf", lambda *args: calls.append(args) or original(*args))
+    pair = family("bessel", 16).pair
+    compiled = compile_pair(ShefferPair(pair.f, pair.g))
+    assert compiled._sequence and compiled._chain(1) and compiled._chain(2)
+    assert len(calls) == 1 and "_polys" not in vars(compiled)
+    polys = original(pair, 15).polys
+    for l in (1, 2):
+        assert compiled._chain(l) == fock._monomial_chain(polys, l, 16 - l)
+    # s_3 holds 10^400: each closed form still fails under its own name
+    pair = ShefferPair(TruncatedSeries.from_coeffs([0, 1, 10**200, 0, 0]),
+                       TruncatedSeries.from_coeffs([1, 0, 0, 0, 0]))
+    calls.clear()
+    with pytest.raises(GuardExceeded, match=r"^printed <z\|M\^1\|0> divides"):
+        mono_element(pair, 1, 0, 0.3)
+    with pytest.raises(GuardExceeded, match=r"^operator <z\|M\^1\|1> divides"):
+        mono_element_operator(pair, 1, 1, 0.3)
+    assert len(calls) == 1
 
 
 def ref_shift_weights(coeffs):
